@@ -310,10 +310,7 @@ sweepRequestToJson(const SweepRequestSpec &spec)
        << "    \"trace_refs\": " << u64s(spec.traceRefs) << ",\n"
        << "    \"warmup_fraction\": "
        << jsonNumber(spec.warmupFraction) << ",\n"
-       << "    \"backend\": "
-       << jsonQuote(missBackendName(spec.backend)) << ",\n"
-       << "    \"prune_margin\": " << jsonNumber(spec.pruneMargin)
-       << "\n  },\n";
+       << "    \"backend\": \"exact\"\n  },\n";
     os << "  \"energy\": " << (spec.energy ? "true" : "false")
        << ",\n";
     os << "  \"threads\": " << u64s(spec.threads) << ",\n";
@@ -480,15 +477,18 @@ sweepRequestFromJson(const std::string &text)
             st = readString(*m, "'evaluator.backend'", s);
             if (!st.ok())
                 return st;
-            if (!missBackendFromName(s, spec.backend)) {
+            if (s != "exact") {
                 return statusf(StatusCode::UnknownName,
-                               "unknown miss backend '%s'",
-                               s.c_str());
+                               "unknown miss backend '%s' (only "
+                               "'exact' exists)", s.c_str());
             }
         }
+        // Accepted and range-checked so documents written when a
+        // pruning backend existed still decode; it has no effect.
         if (const JsonValue *m = ev->find("prune_margin")) {
+            double ignored = 0.0;
             st = readNonNegative(*m, "'evaluator.prune_margin'",
-                                 spec.pruneMargin);
+                                 ignored);
             if (!st.ok())
                 return st;
         }

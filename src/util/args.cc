@@ -129,13 +129,23 @@ applyStandardFlags(const ArgParser &args)
 
 namespace cli {
 
+void
+rejectNonExactBackend(const ArgParser &args)
+{
+    const std::string backend = args.getString("backend", "exact");
+    if (backend != "exact") {
+        fatal("--backend=%s: unknown backend (only 'exact' exists)",
+              backend.c_str());
+    }
+}
+
 SweepFlags
 sweepFlagsFromArgs(const ArgParser &args, std::int64_t default_refs)
 {
     SweepFlags f;
     f.refs =
         static_cast<std::uint64_t>(args.getInt("refs", default_refs));
-    f.backend = args.getString("backend", "exact");
+    rejectNonExactBackend(args);
     f.progress = args.getBool("progress", false);
     f.traceOut = args.getString("trace-out");
     f.manifestPath = args.getString("manifest");

@@ -3,7 +3,7 @@
  * Minimal command-line argument parser for the example binaries and
  * bench drivers (--key=value / --key value / --flag), plus the
  * tlc::cli options layer the sweep drivers share: one parse of the
- * common sweep flags (refs/backend/progress/store/telemetry) and one
+ * common sweep flags (refs/progress/store/telemetry) and one
  * TelemetrySession that owns the end-of-run artifact writing the
  * drivers used to duplicate line for line.
  */
@@ -66,16 +66,15 @@ namespace cli {
 /**
  * The sweep flags every sweep driver accepts, parsed once. Values
  * are raw (strings, integers): this layer sits below core, so
- * interpretation that needs core types — backend names, store
- * opening, request decoding — happens in the driver or in
- * service/sweep_service.hh. sweepFlagsFromArgs() enforces the
- * cross-flag rules the drivers used to duplicate (--resume requires
- * --result-store and an existing file).
+ * interpretation that needs core types — store opening, request
+ * decoding — happens in the driver or in service/sweep_service.hh.
+ * sweepFlagsFromArgs() enforces the cross-flag rules the drivers
+ * used to duplicate (--resume requires --result-store and an
+ * existing file) and rejectNonExactBackend().
  */
 struct SweepFlags
 {
     std::uint64_t refs = 0;      ///< --refs trace length
-    std::string backend;         ///< --backend (exact/analytic/...)
     bool progress = false;       ///< --progress stderr lines
     std::string traceOut;        ///< --trace-out timeline file
     std::string manifestPath;    ///< --manifest run-manifest file
@@ -86,6 +85,14 @@ struct SweepFlags
     std::string requestFile;     ///< --request sweep-request JSON
     std::string statsOut;        ///< --stats-out accounting JSON
 };
+
+/**
+ * Fatal unless --backend is absent or "exact". Exact simulation is
+ * the only way miss statistics are produced; the flag is still
+ * checked because ArgParser ignores unknown keys, so a dropped flag
+ * would let --backend=analytic silently run exact.
+ */
+void rejectNonExactBackend(const ArgParser &args);
 
 /** Parse the shared sweep flags (fatal on rule violations).
  *  @p default_refs seeds refs when --refs is absent. */

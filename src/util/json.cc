@@ -83,204 +83,6 @@ jsonNumber(double v)
 }
 
 // ---------------------------------------------------------------------
-// Syntax checker
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** Cursor over the document; all check* functions advance it. */
-struct Cursor
-{
-    const char *p;
-    const char *end;
-
-    bool eof() const { return p >= end; }
-    char peek() const { return *p; }
-
-    void skipWs()
-    {
-        while (p < end &&
-               (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
-            ++p;
-        }
-    }
-
-    bool consume(char c)
-    {
-        if (p < end && *p == c) {
-            ++p;
-            return true;
-        }
-        return false;
-    }
-
-    bool literal(const char *lit)
-    {
-        const char *q = p;
-        while (*lit) {
-            if (q >= end || *q != *lit)
-                return false;
-            ++q;
-            ++lit;
-        }
-        p = q;
-        return true;
-    }
-};
-
-bool checkValue(Cursor &c);
-
-bool
-checkString(Cursor &c)
-{
-    if (!c.consume('"'))
-        return false;
-    while (!c.eof()) {
-        unsigned char ch = static_cast<unsigned char>(*c.p++);
-        if (ch == '"')
-            return true;
-        if (ch < 0x20)
-            return false; // raw control character
-        if (ch == '\\') {
-            if (c.eof())
-                return false;
-            char esc = *c.p++;
-            switch (esc) {
-              case '"':
-              case '\\':
-              case '/':
-              case 'b':
-              case 'f':
-              case 'n':
-              case 'r':
-              case 't':
-                break;
-              case 'u':
-                for (int i = 0; i < 4; ++i) {
-                    if (c.eof() ||
-                        !std::isxdigit(static_cast<unsigned char>(*c.p))) {
-                        return false;
-                    }
-                    ++c.p;
-                }
-                break;
-              default:
-                return false;
-            }
-        }
-    }
-    return false; // unterminated
-}
-
-bool
-checkNumber(Cursor &c)
-{
-    c.consume('-');
-    if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
-        return false;
-    if (!c.consume('0')) {
-        while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
-            ++c.p;
-    }
-    if (c.consume('.')) {
-        if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
-            return false;
-        while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
-            ++c.p;
-    }
-    if (!c.eof() && (c.peek() == 'e' || c.peek() == 'E')) {
-        ++c.p;
-        if (!c.eof() && (c.peek() == '+' || c.peek() == '-'))
-            ++c.p;
-        if (c.eof() || !std::isdigit(static_cast<unsigned char>(c.peek())))
-            return false;
-        while (!c.eof() && std::isdigit(static_cast<unsigned char>(c.peek())))
-            ++c.p;
-    }
-    return true;
-}
-
-bool
-checkObject(Cursor &c)
-{
-    if (!c.consume('{'))
-        return false;
-    c.skipWs();
-    if (c.consume('}'))
-        return true;
-    for (;;) {
-        c.skipWs();
-        if (!checkString(c))
-            return false;
-        c.skipWs();
-        if (!c.consume(':'))
-            return false;
-        if (!checkValue(c))
-            return false;
-        c.skipWs();
-        if (c.consume('}'))
-            return true;
-        if (!c.consume(','))
-            return false;
-    }
-}
-
-bool
-checkArray(Cursor &c)
-{
-    if (!c.consume('['))
-        return false;
-    c.skipWs();
-    if (c.consume(']'))
-        return true;
-    for (;;) {
-        if (!checkValue(c))
-            return false;
-        c.skipWs();
-        if (c.consume(']'))
-            return true;
-        if (!c.consume(','))
-            return false;
-    }
-}
-
-bool
-checkValue(Cursor &c)
-{
-    c.skipWs();
-    if (c.eof())
-        return false;
-    switch (c.peek()) {
-      case '{':
-        return checkObject(c);
-      case '[':
-        return checkArray(c);
-      case '"':
-        return checkString(c);
-      case 't':
-        return c.literal("true");
-      case 'f':
-        return c.literal("false");
-      case 'n':
-        return c.literal("null");
-      default:
-        return checkNumber(c);
-    }
-}
-
-} // namespace
-
-bool
-jsonSyntaxOk(const std::string &text)
-{
-    Cursor c{text.data(), text.data() + text.size()};
-    if (!checkValue(c))
-        return false;
-    c.skipWs();
-    return c.eof();
-}
-
-// ---------------------------------------------------------------------
 // Value parser
 // ---------------------------------------------------------------------
 
@@ -389,6 +191,78 @@ JsonValue::asU64() const
 }
 
 namespace {
+
+/** Cursor over the document; the parser advances it. */
+struct Cursor
+{
+    const char *p;
+    const char *end;
+
+    bool eof() const { return p >= end; }
+    char peek() const { return *p; }
+
+    void skipWs()
+    {
+        while (p < end &&
+               (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r')) {
+            ++p;
+        }
+    }
+
+    bool consume(char c)
+    {
+        if (p < end && *p == c) {
+            ++p;
+            return true;
+        }
+        return false;
+    }
+
+    bool literal(const char *lit)
+    {
+        const char *q = p;
+        while (*lit) {
+            if (q >= end || *q != *lit)
+                return false;
+            ++q;
+            ++lit;
+        }
+        p = q;
+        return true;
+    }
+
+    /** Advance over one RFC 8259 number; false if malformed. */
+    bool number()
+    {
+        auto digit = [this] {
+            return p < end &&
+                   std::isdigit(static_cast<unsigned char>(*p));
+        };
+        consume('-');
+        if (!digit())
+            return false;
+        if (!consume('0')) {
+            while (digit())
+                ++p;
+        }
+        if (consume('.')) {
+            if (!digit())
+                return false;
+            while (digit())
+                ++p;
+        }
+        if (p < end && (*p == 'e' || *p == 'E')) {
+            ++p;
+            if (p < end && (*p == '+' || *p == '-'))
+                ++p;
+            if (!digit())
+                return false;
+            while (digit())
+                ++p;
+        }
+        return true;
+    }
+};
 
 constexpr int kMaxParseDepth = 64;
 
@@ -535,7 +409,7 @@ struct Parser
     bool parseNumber(JsonValue &out)
     {
         const char *start = c.p;
-        if (!checkNumber(c)) {
+        if (!c.number()) {
             fail("invalid number");
             return false;
         }

@@ -6,9 +6,9 @@
  * manifest all emit JSON by hand (this repository deliberately has
  * no third-party dependencies). This header centralises the two
  * things hand-written JSON gets wrong: string escaping and numeric
- * formatting. It also provides a strict syntax checker so tests and
- * tools can assert "this blob parses as JSON" without a parser
- * library.
+ * formatting. It also provides jsonParse(), a strict parser that
+ * the wire codec decodes with and that tests use to assert "this
+ * blob is valid JSON".
  */
 
 #ifndef TLC_UTIL_JSON_HH
@@ -36,13 +36,6 @@ std::string jsonQuote(const std::string &s);
  * rest of the codebase treats undefined ratios.
  */
 std::string jsonNumber(double v);
-
-/**
- * Strict syntax check of one complete JSON document (RFC 8259:
- * any value at the top level, no trailing garbage). Validates
- * structure only — no limits on depth or duplicate keys.
- */
-bool jsonSyntaxOk(const std::string &text);
 
 /**
  * A parsed JSON value. The sweep-service wire codec

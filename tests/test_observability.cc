@@ -57,29 +57,29 @@ TEST(Json, NumberRoundTripsAndSanitisesNonFinite)
 
 TEST(Json, SyntaxCheckerAcceptsValidDocuments)
 {
-    EXPECT_TRUE(jsonSyntaxOk("{}"));
-    EXPECT_TRUE(jsonSyntaxOk("[]"));
-    EXPECT_TRUE(jsonSyntaxOk("42"));
-    EXPECT_TRUE(jsonSyntaxOk("-1.5e-3"));
-    EXPECT_TRUE(jsonSyntaxOk("\"str\""));
-    EXPECT_TRUE(jsonSyntaxOk("true"));
-    EXPECT_TRUE(jsonSyntaxOk(" { \"a\" : [1, 2.5, null, {\"b\": "
-                             "\"\\u0041\\n\"}] } "));
+    EXPECT_TRUE(jsonParse("{}").ok());
+    EXPECT_TRUE(jsonParse("[]").ok());
+    EXPECT_TRUE(jsonParse("42").ok());
+    EXPECT_TRUE(jsonParse("-1.5e-3").ok());
+    EXPECT_TRUE(jsonParse("\"str\"").ok());
+    EXPECT_TRUE(jsonParse("true").ok());
+    EXPECT_TRUE(jsonParse(" { \"a\" : [1, 2.5, null, {\"b\": "
+                          "\"\\u0041\\n\"}] } ").ok());
 }
 
 TEST(Json, SyntaxCheckerRejectsMalformedDocuments)
 {
-    EXPECT_FALSE(jsonSyntaxOk(""));
-    EXPECT_FALSE(jsonSyntaxOk("{"));
-    EXPECT_FALSE(jsonSyntaxOk("{\"a\": 1,}"));
-    EXPECT_FALSE(jsonSyntaxOk("[1, 2") );
-    EXPECT_FALSE(jsonSyntaxOk("{\"a\" 1}"));
-    EXPECT_FALSE(jsonSyntaxOk("{} trailing"));
-    EXPECT_FALSE(jsonSyntaxOk("01"));
-    EXPECT_FALSE(jsonSyntaxOk("+1"));
-    EXPECT_FALSE(jsonSyntaxOk("\"unterminated"));
-    EXPECT_FALSE(jsonSyntaxOk("{'a': 1}"));
-    EXPECT_FALSE(jsonSyntaxOk("nul"));
+    EXPECT_FALSE(jsonParse("").ok());
+    EXPECT_FALSE(jsonParse("{").ok());
+    EXPECT_FALSE(jsonParse("{\"a\": 1,}").ok());
+    EXPECT_FALSE(jsonParse("[1, 2").ok());
+    EXPECT_FALSE(jsonParse("{\"a\" 1}").ok());
+    EXPECT_FALSE(jsonParse("{} trailing").ok());
+    EXPECT_FALSE(jsonParse("01").ok());
+    EXPECT_FALSE(jsonParse("+1").ok());
+    EXPECT_FALSE(jsonParse("\"unterminated").ok());
+    EXPECT_FALSE(jsonParse("{'a': 1}").ok());
+    EXPECT_FALSE(jsonParse("nul").ok());
 }
 
 // ------------------------------------------------------------- metrics
@@ -157,7 +157,7 @@ TEST(Metrics, JsonDumpMatchesGolden)
                                "\"buckets\": [1, 0, 1]}\n"
                                "}";
     EXPECT_EQ(reg.toJson(), expect);
-    EXPECT_TRUE(jsonSyntaxOk(reg.toJson()));
+    EXPECT_TRUE(jsonParse(reg.toJson()).ok());
 }
 
 TEST(Metrics, TextDumpListsEveryMetric)
@@ -175,7 +175,7 @@ TEST(Metrics, EmptyRegistryDumpsAreValid)
 {
     MetricsRegistry reg;
     EXPECT_EQ(reg.size(), 0u);
-    EXPECT_TRUE(jsonSyntaxOk(reg.toJson()));
+    EXPECT_TRUE(jsonParse(reg.toJson()).ok());
 }
 
 TEST(Metrics, ConcurrentIncrementsFromWorkerTeamLoseNothing)
@@ -229,7 +229,7 @@ TEST(Metrics, GlobalRegistryHasLibraryInstrumentation)
     EXPECT_TRUE(g.has("cache.simulations"));
     EXPECT_TRUE(g.has("trace.synthetic.records"));
     EXPECT_GE(g.counter("cache.simulations").value(), 1u);
-    EXPECT_TRUE(jsonSyntaxOk(g.toJson()));
+    EXPECT_TRUE(jsonParse(g.toJson()).ok());
 }
 
 // ------------------------------------------------------------ profiler
@@ -298,7 +298,7 @@ TEST(Profiler, DumpsAreWellFormed)
     p.record(phase::kTraceLoad, 1500000); // 1.5 ms
     p.record(phase::kTraceLoad, 500000);
     std::string json = p.toJson();
-    EXPECT_TRUE(jsonSyntaxOk(json));
+    EXPECT_TRUE(jsonParse(json).ok());
     EXPECT_NE(json.find("\"trace.load\""), std::string::npos);
     EXPECT_NE(json.find("\"calls\": 2"), std::string::npos);
     EXPECT_NE(json.find("\"total_ms\": 2"), std::string::npos);
@@ -310,7 +310,7 @@ TEST(Profiler, DumpsAreWellFormed)
     p.reset();
     EXPECT_TRUE(p.snapshot().empty());
     EXPECT_TRUE(p.enabled()); // reset drops data, not the switch
-    EXPECT_TRUE(jsonSyntaxOk(p.toJson()));
+    EXPECT_TRUE(jsonParse(p.toJson()).ok());
 }
 
 // --------------------------------------------------------- trace events
@@ -333,7 +333,7 @@ TEST(TraceEvent, WritesValidChromeTraceJson)
     std::ostringstream os;
     rec.write(os);
     std::string json = os.str();
-    EXPECT_TRUE(jsonSyntaxOk(json));
+    EXPECT_TRUE(jsonParse(json).ok());
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
     // One thread_name metadata event per distinct track.
@@ -351,7 +351,7 @@ TEST(TraceEvent, ClampsInvertedIntervalsToZeroDuration)
                  t0, 0);
     std::ostringstream os;
     rec.write(os);
-    EXPECT_TRUE(jsonSyntaxOk(os.str()));
+    EXPECT_TRUE(jsonParse(os.str()).ok());
     EXPECT_NE(os.str().find("\"dur\": 0"), std::string::npos);
 }
 
@@ -362,7 +362,7 @@ TEST(TraceEvent, EscapesEventNames)
     rec.complete("quote\"back\\slash", "c", t0, t0, 0);
     std::ostringstream os;
     rec.write(os);
-    EXPECT_TRUE(jsonSyntaxOk(os.str()));
+    EXPECT_TRUE(jsonParse(os.str()).ok());
 }
 
 TEST(TraceEvent, ConcurrentRecordingIsSafeAndComplete)
@@ -378,7 +378,7 @@ TEST(TraceEvent, ConcurrentRecordingIsSafeAndComplete)
     EXPECT_EQ(rec.size(), 500u);
     std::ostringstream os;
     rec.write(os);
-    EXPECT_TRUE(jsonSyntaxOk(os.str()));
+    EXPECT_TRUE(jsonParse(os.str()).ok());
 }
 
 // ------------------------------------------------------------ progress
@@ -435,7 +435,7 @@ TEST(Progress, SweepSlicesLandOnTheActiveRecorder)
     std::ostringstream os;
     rec.write(os);
     std::string json = os.str();
-    EXPECT_TRUE(jsonSyntaxOk(json));
+    EXPECT_TRUE(jsonParse(json).ok());
     std::size_t design_points = 0;
     const std::string needle = "\"cat\": \"design-point\"";
     for (std::size_t pos = json.find(needle); pos != std::string::npos;
@@ -464,7 +464,7 @@ TEST(Manifest, JsonCarriesSchemaAndEmbeddedDumps)
     EXPECT_GE(m.threads, 1u);
 
     std::string json = m.toJson();
-    EXPECT_TRUE(jsonSyntaxOk(json));
+    EXPECT_TRUE(jsonParse(json).ok());
     for (const char *key :
          {"\"schema\": \"tlc-run-manifest-v1\"", "\"tool\"",
           "\"command\"", "\"workload\"", "\"trace_refs\"",

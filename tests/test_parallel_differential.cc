@@ -196,24 +196,52 @@ TEST(ParallelDifferential, FailSoftSweepMatchesSerial)
 
 TEST(ParallelDifferential, CorruptTraceFileMatchesSerial)
 {
-    std::string path = writeTempFile("tlc_corrupt.trc",
-                                     "not a trace !!!\xff\xfe\x01");
     SystemAssumptions a;
     std::vector<SystemConfig> configs = DesignSpace::enumerate(a);
 
-    SweepResult serial =
-        runSweep(1, Benchmark::Gcc1, configs, path);
-    EXPECT_TRUE(serial.points.empty());
-    ASSERT_EQ(serial.failures.size(), 1u);
-    EXPECT_EQ(serial.failures[0].subject, "benchmark gcc1");
-    EXPECT_EQ(serial.failures[0].status.code(), StatusCode::ParseError);
+    // Text garbage fails the text reader; bytes behind a valid
+    // binary magic fail the binary header check.
+    const struct
+    {
+        std::string bytes;
+        StatusCode code;
+    } corpus[] = {
+        {"not a trace !!!\xff\xfe\x01", StatusCode::ParseError},
+        {"TLCT garbage that is certainly not a valid trace file",
+         StatusCode::VersionMismatch},
+    };
+    for (const auto &input : corpus) {
+        SCOPED_TRACE(input.bytes);
+        std::string path = writeTempFile("tlc_corrupt.trc", input.bytes);
 
-    for (unsigned workers : {2u, 8u}) {
-        SCOPED_TRACE("workers=" + std::to_string(workers));
-        expectIdentical(serial, runSweep(workers, Benchmark::Gcc1,
-                                         configs, path));
+        SweepResult serial =
+            runSweep(1, Benchmark::Gcc1, configs, path);
+        EXPECT_TRUE(serial.points.empty());
+        ASSERT_EQ(serial.failures.size(), 1u);
+        EXPECT_EQ(serial.failures[0].subject, "benchmark gcc1");
+        EXPECT_EQ(serial.failures[0].status.code(), input.code);
+
+        for (unsigned workers : {2u, 8u}) {
+            SCOPED_TRACE("workers=" + std::to_string(workers));
+            expectIdentical(serial, runSweep(workers, Benchmark::Gcc1,
+                                             configs, path));
+        }
+
+        // A point query fails with exactly the status the sweep
+        // reported, and a healthy benchmark on the same evaluator
+        // still simulates.
+        EvaluatorOptions opts;
+        opts.traceRefs = kRefs;
+        opts.traceFiles[Benchmark::Gcc1] = path;
+        MissRateEvaluator ev(std::move(opts));
+        auto point = ev.tryMissStats(Benchmark::Gcc1, configs.front());
+        ASSERT_FALSE(point.ok());
+        EXPECT_EQ(point.status().code(), input.code);
+        EXPECT_EQ(point.status().message(),
+                  serial.failures[0].status.message());
+        EXPECT_TRUE(ev.tryMissStats(Benchmark::Li, configs.front()).ok());
+        std::remove(path.c_str());
     }
-    std::remove(path.c_str());
 }
 
 TEST(ParallelDifferential, MissingTraceFileMatchesSerial)
@@ -230,6 +258,45 @@ TEST(ParallelDifferential, MissingTraceFileMatchesSerial)
 
     expectIdentical(serial,
                     runSweep(8, Benchmark::Fpppp, configs, path));
+
+    // The same missing file inside a multi-benchmark request, next
+    // to a healthy benchmark and an invalid configuration: the
+    // request's thread override must not change what is priced or
+    // what is reported.
+    SystemConfig bad;
+    bad.l1Bytes = 3 * 1024; // not a power of two
+    bad.assume = a;
+    std::vector<SystemConfig> withBad = configs;
+    withBad.push_back(bad);
+    auto runRequest = [&](unsigned threads) {
+        EvaluatorOptions opts;
+        opts.traceRefs = kRefs;
+        opts.traceFiles[Benchmark::Fpppp] = path;
+        MissRateEvaluator ev(std::move(opts));
+        Explorer ex(ev);
+        FailureReport report;
+        SweepRequest req;
+        req.configs = withBad;
+        req.benchmarks = {Benchmark::Gcc1, Benchmark::Fpppp};
+        req.threads = threads;
+        req.report = &report;
+        SweepResult r;
+        for (BenchmarkSweep &s : ex.evaluateAll(req))
+            r.points.insert(r.points.end(), s.points.begin(),
+                            s.points.end());
+        r.failures = report.failures();
+        return r;
+    };
+    SweepResult requestSerial = runRequest(1);
+    EXPECT_EQ(requestSerial.points.size(), configs.size());
+    ASSERT_EQ(requestSerial.failures.size(), 2u);
+    EXPECT_EQ(requestSerial.failures[0].subject, bad.label());
+    EXPECT_EQ(requestSerial.failures[0].status.code(),
+              StatusCode::InvalidConfig);
+    EXPECT_EQ(requestSerial.failures[1].subject, "benchmark fpppp");
+    EXPECT_EQ(requestSerial.failures[1].status.code(),
+              StatusCode::IoError);
+    expectIdentical(requestSerial, runRequest(4));
 }
 
 TEST(ParallelDifferential, FailureReportToleratesConcurrentAdds)

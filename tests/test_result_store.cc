@@ -317,6 +317,12 @@ TEST(SweepCache, StatsRoundTripBitExactly)
     c.l1Bytes = 8_KiB;
     c.l2Bytes = 256_KiB;
     std::string key = SweepCache::keyText("synthetic:test", 1000, c);
+    // Key text is part of the on-disk format: pin one real key's
+    // hash so stores written by earlier builds provably stay warm.
+    EXPECT_EQ(SweepCache::hashKey(SweepCache::keyText(
+                  SweepCache::traceIdentity(Benchmark::Gcc1, 100000, ""),
+                  10000, c)),
+              "tlc1-d756c5a562b43211");
 
     HierarchyStats s;
     s.instrRefs = 0x0123456789abcdefull;

@@ -82,8 +82,6 @@ directResponse(const SweepRequestSpec &spec)
     eopts.traceRefs = spec.traceRefs;
     eopts.warmupFraction = spec.warmupFraction;
     eopts.traceFiles = spec.traceFiles;
-    eopts.backend = spec.backend;
-    eopts.pruneMargin = spec.pruneMargin;
     MissRateEvaluator ev(eopts);
     Explorer ex(ev);
     SweepRequest req;
@@ -201,6 +199,15 @@ TEST(SweepCodec, RoundTripIsCanonical)
     EXPECT_DOUBLE_EQ(back.value().assume.offchipNs, 200.0);
     EXPECT_TRUE(back.value().energy);
     EXPECT_EQ(back.value().threads, 2u);
+
+    // v1 documents written while a pruning backend existed carry a
+    // prune_margin; it still decodes, has no effect, and is not
+    // re-encoded.
+    Expected<SweepRequestSpec> legacy = sweepRequestFromJson(
+        corrupt(text, "\"backend\": \"exact\"",
+                "\"backend\": \"exact\", \"prune_margin\": 0.02"));
+    ASSERT_TRUE(legacy.ok()) << legacy.status().toString();
+    EXPECT_EQ(sweepRequestToJson(legacy.value()), text);
 }
 
 TEST(SweepCodec, RoundTripEnumeratedSpaceAndTraceFiles)
@@ -209,7 +216,6 @@ TEST(SweepCodec, RoundTripEnumeratedSpaceAndTraceFiles)
     spec.benchmarks = {Benchmark::Gcc1, Benchmark::Espresso};
     spec.spaceTwoLevel = false;
     spec.traceRefs = 1234;
-    spec.backend = MissBackend::Analytic;
     spec.traceFiles[Benchmark::Gcc1] = "/tmp/gcc1.trc";
     std::string text = sweepRequestToJson(spec);
 
@@ -218,7 +224,6 @@ TEST(SweepCodec, RoundTripEnumeratedSpaceAndTraceFiles)
     EXPECT_EQ(sweepRequestToJson(back.value()), text);
     EXPECT_FALSE(back.value().explicitConfigs);
     EXPECT_FALSE(back.value().spaceTwoLevel);
-    EXPECT_EQ(back.value().backend, MissBackend::Analytic);
     EXPECT_EQ(back.value().traceFiles.at(Benchmark::Gcc1),
               "/tmp/gcc1.trc");
     // The enumerated space materializes to the paper's design space.
@@ -266,9 +271,21 @@ TEST(SweepCodec, RejectsBadValues)
     EXPECT_EQ(decodeError(corrupt(text, "\"inclusive\"",
                                   "\"sideways\"")),
               StatusCode::UnknownName);
+    for (const char *backend : {"psychic", "analytic", "analytic-prune"}) {
+        std::string message;
+        EXPECT_EQ(decodeError(corrupt(text, "\"backend\": \"exact\"",
+                                      std::string("\"backend\": \"") +
+                                          backend + "\""),
+                              &message),
+                  StatusCode::UnknownName);
+        EXPECT_NE(message.find(std::string("'") + backend + "'"),
+                  std::string::npos)
+            << message;
+    }
     EXPECT_EQ(decodeError(corrupt(text, "\"backend\": \"exact\"",
-                                  "\"backend\": \"psychic\"")),
-              StatusCode::UnknownName);
+                                  "\"backend\": \"exact\", "
+                                  "\"prune_margin\": -1")),
+              StatusCode::ParseError);
     EXPECT_EQ(decodeError(corrupt(text, "\"threads\": 0",
                                   "\"threads\": 9999")),
               StatusCode::ParseError);

@@ -296,7 +296,7 @@ TEST(Telemetry, MergedTraceParsesStrictlyWithWorkerTracks)
     std::ostringstream os;
     rec.write(os);
     const std::string doc = os.str();
-    EXPECT_TRUE(jsonSyntaxOk(doc));
+    EXPECT_TRUE(jsonParse(doc).ok());
     // One named process track per worker attempt, plus the
     // supervisor's own shard slices.
     // The worker serial is process-global (it keeps counting across
@@ -406,7 +406,7 @@ TEST(Telemetry, TimelineRecordsAttemptsAndRendersStrictJson)
 
     const std::string json =
         supervisorTimelinesJson(r.stats, r.timeline);
-    EXPECT_TRUE(jsonSyntaxOk(json));
+    EXPECT_TRUE(jsonParse(json).ok());
     EXPECT_NE(json.find("\"shards\""), std::string::npos);
     EXPECT_NE(json.find("\"resolution\": \"ok\""), std::string::npos);
 }
