@@ -61,18 +61,12 @@
  *                     writes the run's cache-hit accounting
  */
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
-#include "core/explorer.hh"
 #include "core/shard_runner.hh"
-#include "core/sweep_cache.hh"
 #include "service/sweep_service.hh"
 #include "util/args.hh"
-#include "util/logging.hh"
-#include "util/parallel.hh"
 #include "util/table.hh"
 
 using namespace tlc;
@@ -91,40 +85,8 @@ main(int argc, char **argv)
     double budget = args.getDouble("budget", 1000000.0);
     Benchmark bench = Workloads::byName(args.getString("bench", "gcc1"));
     double offchip = args.getDouble("offchip", 50.0);
-    std::uint64_t refs = flags.refs;
-    bool progress = flags.progress;
     cli::TelemetrySession telemetry(flags);
-
-    SupervisorOptions sopts;
-    const bool isolate = supervisorOptionsFromArgs(args, &sopts);
-
-    std::shared_ptr<SweepCache> store;
-    if (!flags.resultStore.empty() && !isolate) {
-        // In isolate mode the worker subprocesses own the store —
-        // the parent must not hold a second write handle on it.
-        store = std::make_shared<SweepCache>();
-        Status s = store->open(flags.resultStore);
-        if (!s.ok())
-            fatal("result store: %s", s.message().c_str());
-    }
-
-    EvaluatorOptions evopts;
-    evopts.traceRefs = refs;
-    evopts.resultStore = store;
-    MissRateEvaluator ev(evopts);
-    Explorer ex(ev);
-    if (progress)
-        ex.setProgressCallback(stderrProgressPrinter(
-            Workloads::info(bench).name));
-    if (isolate) {
-        sopts.evaluator = evopts;
-        sopts.evaluator.resultStore.reset();
-        sopts.resultStorePath = flags.resultStore;
-        if (progress) {
-            sopts.progress =
-                stderrProgressPrinter(Workloads::info(bench).name);
-        }
-    }
+    DriverSweep sweeps(args, flags);
 
     std::printf("workload: %s    area budget: %.0f rbe    off-chip: "
                 "%.0f ns\n\n",
@@ -147,11 +109,6 @@ main(int argc, char **argv)
          TwoLevelPolicy::Exclusive},
     };
 
-    auto runStart = std::chrono::steady_clock::now();
-    std::size_t pointsPriced = 0;
-    SupervisionStats supStats;
-    std::vector<ShardTimeline> supTimeline;
-    FailureReport report;
     Table t({"scenario", "best_config", "area_rbe", "l1_cycle_ns",
              "tpi_ns"});
     double best_tpi = 0;
@@ -161,20 +118,8 @@ main(int argc, char **argv)
         a.offchipNs = offchip;
         a.l2Assoc = sc.assoc;
         a.policy = sc.policy;
-        std::vector<DesignPoint> points;
-        if (isolate) {
-            SupervisedSweep sw = supervisedSweepSpace(
-                ex, bench, a, true, sc.two_level, &report, sopts);
-            supStats.accumulate(sw.stats);
-            supTimeline.insert(
-                supTimeline.end(),
-                std::make_move_iterator(sw.timeline.begin()),
-                std::make_move_iterator(sw.timeline.end()));
-            points = std::move(sw.points);
-        } else {
-            points = ex.sweep(bench, a, true, sc.two_level, &report);
-        }
-        pointsPriced += points.size();
+        std::vector<DesignPoint> points = sweeps.sweep(
+            bench, a, sc.two_level, Workloads::info(bench).name);
         Envelope env = Explorer::envelopeOf(points);
         const EnvelopePoint *p = env.bestPointWithin(budget);
         t.beginRow();
@@ -205,22 +150,7 @@ main(int argc, char **argv)
     t.printAscii(std::cout);
     std::printf("\nrecommendation: %s as '%s' (%.3f ns/instruction)\n",
                 best_label.c_str(), best_scenario.c_str(), best_tpi);
-    if (!report.empty())
-        std::fputs(report.summary().c_str(), stderr);
 
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - runStart)
-                      .count();
-
-    cli::TelemetrySession::RunSummary summary;
-    summary.workload = Workloads::info(bench).name;
-    summary.traceRefs = refs;
-    summary.pointsPriced = pointsPriced;
-    summary.failures = report.size();
-    summary.wallSeconds = wall;
-    if (isolate)
-        summary.supervisorJson =
-            supervisorTimelinesJson(supStats, supTimeline);
-    telemetry.finish(argc, argv, summary);
+    sweeps.finish(telemetry, argc, argv, Workloads::info(bench).name);
     return 0; // --profile dumps via applyStandardFlags's exit hook
 }

@@ -25,7 +25,8 @@
  * Fault isolation (docs/robustness.md): --isolate=process simulates
  * each shard of the sweep in a forked worker subprocess, so a
  * crashing or hanging design point is retried, bisected and
- * quarantined instead of killing the figure run.
+ * quarantined instead of killing the figure run. Either way the run
+ * is fail-soft: skipped points are summarised on stderr.
  *
  * Observability (docs/observability.md): --progress prints live
  * sweep progress to stderr (streamed per worker result under
@@ -42,19 +43,13 @@
  * serves; --stats-out=FILE writes the run's cache-hit accounting.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <iostream>
-#include <memory>
 
-#include "core/explorer.hh"
 #include "core/figures.hh"
 #include "core/shard_runner.hh"
-#include "core/sweep_cache.hh"
 #include "service/sweep_service.hh"
 #include "util/args.hh"
-#include "util/logging.hh"
-#include "util/parallel.hh"
 #include "util/plot.hh"
 #include "util/table.hh"
 
@@ -91,53 +86,19 @@ listCatalog()
     t.printAscii(std::cout);
 }
 
-int
-runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
-           bool progress, std::shared_ptr<SweepCache> store,
-           const SupervisorOptions *sopts, std::size_t *points_priced,
-           SupervisionStats *sup_stats,
-           std::vector<ShardTimeline> *sup_timeline)
+void
+runScatter(const FigureSpec &f, bool csv, DriverSweep &sweeps)
 {
-    EvaluatorOptions evopts;
-    evopts.traceRefs = refs;
-    evopts.resultStore = std::move(store);
-    MissRateEvaluator ev(evopts);
-    Explorer ex(ev);
-    // The supervisor is inherently fail-soft, so the isolated path
-    // collects skips in a report and summarises them at the end; the
-    // in-process path keeps its classic fatal-on-failure behaviour.
-    FailureReport report;
     std::printf("%s: %s\n", f.id.c_str(), f.title.c_str());
     std::printf("assumptions: %s\n\n", f.assume.toString().c_str());
 
-    auto sweepSpace = [&](Benchmark b, bool two_level) {
-        if (!sopts)
-            return ex.sweep(b, f.assume, true, two_level);
-        SupervisorOptions so = *sopts;
-        if (progress) {
-            so.progress = stderrProgressPrinter(
-                f.id + " " + Workloads::info(b).name);
-        }
-        SupervisedSweep sw = supervisedSweepSpace(
-            ex, b, f.assume, true, two_level, &report, so);
-        sup_stats->accumulate(sw.stats);
-        sup_timeline->insert(
-            sup_timeline->end(),
-            std::make_move_iterator(sw.timeline.begin()),
-            std::make_move_iterator(sw.timeline.end()));
-        return std::move(sw.points);
-    };
-
     for (Benchmark b : f.workloads) {
         const char *name = Workloads::info(b).name;
-        if (progress)
-            ex.setProgressCallback(
-                stderrProgressPrinter(f.id + " " + name));
+        const std::string label = f.id + " " + name;
         // Figures 3-4 are single-level only; everything else sweeps
         // the full space.
         bool single_only = f.benchTarget == "bench_fig03_04_single_level";
-        auto points = sweepSpace(b, !single_only);
-        *points_priced += points.size();
+        auto points = sweeps.sweep(b, f.assume, !single_only, label);
         Table t({"workload", "config", "area_rbe", "tpi_ns"});
         for (const auto &p : points) {
             t.beginRow();
@@ -153,8 +114,8 @@ runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
 
         Envelope best = Explorer::envelopeOf(points);
         if (f.compareSingleLevel && !single_only && !csv) {
-            Envelope single =
-                Explorer::envelopeOf(sweepSpace(b, false));
+            Envelope single = Explorer::envelopeOf(
+                sweeps.sweep(b, f.assume, false, label));
             ScatterPlot plot(72, 18, true, true);
             plot.setYLabel(std::string(name) + "  [TPI ns, log]");
             plot.setXLabel("area (rbe, log)");
@@ -168,9 +129,6 @@ runScatter(const FigureSpec &f, std::uint64_t refs, bool csv,
         }
         std::printf("\n");
     }
-    if (!report.empty())
-        std::fputs(report.summary().c_str(), stderr);
-    return 0;
 }
 
 } // namespace
@@ -191,38 +149,13 @@ main(int argc, char **argv)
         return args.has("list") ? 0 : 2;
     }
     const FigureSpec &f = figureById(args.getString("figure"));
-    std::uint64_t refs = flags.refs;
     bool csv = args.getBool("csv", false);
-    bool progress = flags.progress;
-    SupervisorOptions sopts;
-    const bool isolate = supervisorOptionsFromArgs(args, &sopts);
-    std::shared_ptr<SweepCache> store;
-    if (!flags.resultStore.empty() && !isolate) {
-        // In isolate mode the worker subprocesses own the store —
-        // the parent must not hold a second write handle on it.
-        store = std::make_shared<SweepCache>();
-        Status s = store->open(flags.resultStore);
-        if (!s.ok())
-            fatal("result store: %s", s.message().c_str());
-    }
-    if (isolate) {
-        EvaluatorOptions evopts;
-        evopts.traceRefs = refs;
-        sopts.evaluator = evopts;
-        sopts.resultStorePath = flags.resultStore;
-    }
+    DriverSweep sweeps(args, flags);
     cli::TelemetrySession telemetry(flags);
 
-    auto runStart = std::chrono::steady_clock::now();
-    std::size_t pointsPriced = 0;
-    SupervisionStats supStats;
-    std::vector<ShardTimeline> supTimeline;
-    int rc = 0;
     switch (f.kind) {
       case ExhibitKind::TpiScatter:
-        rc = runScatter(f, refs, csv, progress, store,
-                        isolate ? &sopts : nullptr, &pointsPriced,
-                        &supStats, &supTimeline);
+        runScatter(f, csv, sweeps);
         break;
       case ExhibitKind::Table:
       case ExhibitKind::TimingCurve:
@@ -233,17 +166,6 @@ main(int argc, char **argv)
         break;
     }
 
-    double wall = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - runStart)
-                      .count();
-    cli::TelemetrySession::RunSummary summary;
-    summary.workload = f.id;
-    summary.traceRefs = refs;
-    summary.pointsPriced = pointsPriced;
-    summary.wallSeconds = wall;
-    if (isolate)
-        summary.supervisorJson =
-            supervisorTimelinesJson(supStats, supTimeline);
-    telemetry.finish(argc, argv, summary);
-    return rc; // --profile dumps via applyStandardFlags's exit hook
+    sweeps.finish(telemetry, argc, argv, f.id);
+    return 0; // --profile dumps via applyStandardFlags's exit hook
 }

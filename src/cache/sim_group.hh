@@ -17,8 +17,8 @@
  * share simulated state and which structure-of-arrays flavour each
  * one runs on. The lane layouts and their vectorized kernels live in
  * cache/simd_lanes.hh (dispatched at runtime over the SIMD backends
- * compiled into the binary — scalar always, AVX2/NEON per
- * architecture, forced with TLC_SIMD or setSimdBackend()):
+ * compiled into the binary — scalar always, AVX2 on x86-64 — forced
+ * with TLC_SIMD or setSimdBackend()):
  *
  *  - SharedL1Group — all lanes over one direct-mapped L1 geometry
  *    whose L2 side never reaches back into the L1: plain-inclusive

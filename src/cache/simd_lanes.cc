@@ -28,11 +28,6 @@ namespace avx2_kernels {
 extern const LaneKernels kKernels;
 }
 #endif
-#if defined(TLC_SIMD_HAVE_NEON)
-namespace neon_kernels {
-extern const LaneKernels kKernels;
-}
-#endif
 
 // ---------------------------------------------------------------------
 // LruFsm
@@ -279,12 +274,6 @@ laneKernelsFor(SimdBackend backend)
       case SimdBackend::Avx2:
 #if defined(TLC_SIMD_HAVE_AVX2)
         return avx2_kernels::kKernels;
-#else
-        break;
-#endif
-      case SimdBackend::Neon:
-#if defined(TLC_SIMD_HAVE_NEON)
-        return neon_kernels::kKernels;
 #else
         break;
 #endif

@@ -35,7 +35,7 @@
  *    fill instead of a stamp array scan) for 2..kLruFsmMaxWays ways.
  *
  * The kernels themselves are compiled once per SIMD backend in
- * dedicated translation units (simd_lanes_{scalar,avx2,neon}.cc, each
+ * dedicated translation units (simd_lanes_{scalar,avx2}.cc, each
  * including simd_lanes_body.inc inside its own namespace) so a binary
  * carries all of them and laneKernelsFor() dispatches at runtime on
  * util/simd.hh's activeSimdBackend(). The equivalence contract is

@@ -59,15 +59,17 @@
 namespace tlc {
 
 /**
- * A process-wide pool of loaded/generated benchmark traces, shared
- * by several MissRateEvaluators. The sweep-service daemon
- * (service/sweep_service.hh) builds a FRESH evaluator per request —
- * so every request's memo misses route through the shared persistent
- * store, making cache reuse visible per request — but a fresh
- * evaluator must not re-generate multi-megabyte traces the previous
- * request already paid for. Keyed by SweepCache::traceIdentity, so
- * two evaluators with the same benchmark, length and trace-file
- * routing share one immutable buffer.
+ * A pool of loaded/generated benchmark traces. Every
+ * MissRateEvaluator resolves its traces through one (a private pool
+ * unless EvaluatorOptions::tracePool shares one). The sweep-service
+ * daemon (service/sweep_service.hh) builds a FRESH evaluator per
+ * request — so every request's memo misses route through the shared
+ * persistent store, making cache reuse visible per request — but a
+ * fresh evaluator must not re-generate multi-megabyte traces the
+ * previous request already paid for. Keyed by
+ * SweepCache::traceIdentity, so two evaluators with the same
+ * benchmark, length and trace-file routing share one immutable
+ * buffer.
  *
  * Thread safety: the pool mutex is held across a load, so
  * concurrent requests for the same trace block until the first load
@@ -116,11 +118,11 @@ struct EvaluatorOptions
      *  persistence; a SweepCache that is not open() behaves the
      *  same. */
     std::shared_ptr<SweepCache> resultStore;
-    /** Shared trace pool (see TracePool). With one, the evaluator
-     *  resolves traces there instead of in its private cache, so
-     *  short-lived evaluators (one per served sweep request) reuse
-     *  already-loaded traces. Null (the default) keeps the classic
-     *  per-evaluator trace cache. */
+    /** Shared trace pool (see TracePool). The evaluator resolves
+     *  every trace through a pool; sharing one lets short-lived
+     *  evaluators (one per served sweep request) reuse
+     *  already-loaded traces. Null (the default) gives the
+     *  evaluator a private pool. */
     std::shared_ptr<TracePool> tracePool;
 };
 
@@ -191,17 +193,21 @@ class MissRateEvaluator
     static std::unique_ptr<Hierarchy> makeHierarchy(
         const SystemConfig &config);
 
-    /** Load or synthesize the trace of @p b (shared by the private
-     *  cache and the pooled path). */
+    /** Load or synthesize the trace of @p b. */
     Expected<TraceBuffer> loadTrace(Benchmark b,
                                     const std::string &trace_file);
+
+    /** The trace identity of @p b (SweepCache::traceIdentity),
+     *  computed once per benchmark and cached: the TracePool key and
+     *  the trace half of every store key. Sets @p trace_file to the
+     *  benchmark's trace file ("" = synthetic). */
+    std::string traceId(Benchmark b, std::string *trace_file = nullptr);
 
     std::uint64_t traceRefs_;
     double warmupFraction_;
     std::shared_ptr<SweepCache> store_;
-    std::shared_ptr<TracePool> pool_;
-    mutable std::mutex mu_; ///< guards the four caches below
-    std::map<Benchmark, TraceBuffer> traces_;
+    std::shared_ptr<TracePool> pool_; ///< never null
+    mutable std::mutex mu_; ///< guards the three maps below
     std::map<Benchmark, std::string> traceFiles_;
     std::map<Benchmark, std::string> traceIds_;
     std::map<std::string, HierarchyStats> results_;

@@ -56,6 +56,16 @@ struct ExploreMetrics
  */
 constexpr std::size_t kMaxBatchConfigs = 32;
 
+/** A failure of one design point itself, as opposed to its
+ *  benchmark's trace (which fails every point the same way). */
+bool
+isPointFailure(StatusCode code)
+{
+    return code == StatusCode::InvalidConfig ||
+        code == StatusCode::WorkerCrash ||
+        code == StatusCode::WorkerTimeout;
+}
+
 } // namespace
 
 std::function<void(const SweepProgress &)>
@@ -292,18 +302,18 @@ Explorer::tryEvaluate(Benchmark b, const SystemConfig &config)
     return pricePoint(config, miss.value());
 }
 
-void
-Explorer::setProgressCallback(ProgressCallback cb,
-                              double min_interval_seconds)
+std::vector<DesignPoint>
+Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
+                      FailureReport *report, const BatchStats &stats)
 {
-    progress_ = std::move(cb);
-    progressIntervalSeconds_ =
-        min_interval_seconds < 0.0 ? 0.0 : min_interval_seconds;
+    return sweepBatches(b, configs, report, stats, {}, 0.0);
 }
 
 std::vector<DesignPoint>
-Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
-                      FailureReport *report)
+Explorer::sweepBatches(Benchmark b, const std::vector<SystemConfig> &configs,
+                       FailureReport *report, const BatchStats &stats,
+                       const ProgressCallback &progress,
+                       double interval_seconds)
 {
     std::vector<DesignPoint> out;
     if (configs.empty())
@@ -311,12 +321,13 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
 
     // An unloadable benchmark trace fails every point the same way;
     // detect it once up front and report the benchmark, not every
-    // config. With a persistent result store attached the preflight
-    // is skipped — a fully warm sweep must not load or generate the
-    // trace at all — and the same trace failure, should it surface
-    // from the lanes that do simulate, is collapsed to one report
-    // entry in the collection loop below.
-    if (!evaluator_.hasResultStore()) {
+    // config. The preflight is skipped when the statistics come from
+    // elsewhere (the trace is loaded in another process) and with a
+    // persistent result store attached (a fully warm sweep must not
+    // load or generate the trace at all); the same trace failure,
+    // should it surface from the lanes that do simulate, is
+    // collapsed to one report entry in the collection loop below.
+    if (!stats && !evaluator_.hasResultStore()) {
         Expected<const TraceBuffer *> t = evaluator_.tryTrace(b);
         if (!t.ok()) {
             if (!report) {
@@ -333,11 +344,11 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     ExploreMetrics::get().sweeps.inc();
 
     // Observability plumbing, all inert unless switched on: the
-    // trace-event recorder adds one slice per simulation batch plus
-    // one per design point on the pricing worker's track, and the
-    // progress callback fires on a throttle as points complete.
-    // Neither affects results — the output/report ordering below
-    // stays byte-identical to serial.
+    // trace-event recorder adds one slice per in-process simulation
+    // batch plus one per design point on the pricing worker's track,
+    // and the progress callback fires on a throttle as points
+    // complete. Neither affects results — the output/report ordering
+    // below stays byte-identical to serial.
     TraceEventRecorder *recorder = TraceEventRecorder::active();
     const char *benchName = Workloads::info(b).name;
     using ProgressClock = std::chrono::steady_clock;
@@ -346,10 +357,10 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     std::atomic<std::size_t> failedSoFar{0};
     std::atomic<std::int64_t> lastFireUs{-1};
     const std::int64_t intervalUs = static_cast<std::int64_t>(
-        progressIntervalSeconds_ * 1e6);
+        std::max(0.0, interval_seconds) * 1e6);
 
     auto fireProgress = [&](std::size_t done_now, bool final) {
-        if (!progress_)
+        if (!progress)
             return;
         std::int64_t nowUs =
             std::chrono::duration_cast<std::chrono::microseconds>(
@@ -378,7 +389,7 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
                            static_cast<double>(sp.total - done_now) /
                            static_cast<double>(done_now)
                      : 0.0;
-        progress_(sp);
+        progress(sp);
     };
 
     // Benchmark-major batching: the configuration list is split into
@@ -390,7 +401,9 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     // byte-identical to the point-major path whatever the worker
     // count. Each index writes only its own slots; collecting
     // results and failures after the join, in input-index order,
-    // keeps the output deterministic.
+    // keeps the output deterministic. A BatchStats source slots in
+    // for the simulation and leaves everything else — batching,
+    // pricing in the worker team, collection — exactly as it is.
     const std::size_t n = configs.size();
     std::size_t batchSize = (n + parallelWorkerCount() - 1) /
                             parallelWorkerCount();
@@ -401,21 +414,31 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     parallelFor(numBatches, [&](std::size_t bi) {
         const std::size_t lo = bi * batchSize;
         const std::size_t hi = std::min(lo + batchSize, n);
-        auto bbegin = recorder ? TraceEventRecorder::Clock::now()
-                               : TraceEventRecorder::Clock::time_point{};
-        std::vector<Expected<HierarchyStats>> miss =
-            evaluator_.tryMissStatsBatch(
+        std::vector<Expected<HierarchyStats>> miss;
+        if (stats) {
+            miss = stats(lo, hi);
+        } else {
+            auto bbegin = recorder
+                              ? TraceEventRecorder::Clock::now()
+                              : TraceEventRecorder::Clock::time_point{};
+            miss = evaluator_.tryMissStatsBatch(
                 b, std::span<const SystemConfig>(configs).subspan(
                        lo, hi - lo));
-        if (recorder) {
-            recorder->complete(
-                std::string(benchName) + " batch " + std::to_string(bi),
-                "sim-batch", bbegin, TraceEventRecorder::Clock::now(),
-                parallelWorkerId(),
-                std::string("{\"benchmark\": \"") + benchName +
-                    "\", \"first\": " + std::to_string(lo) +
-                    ", \"count\": " + std::to_string(hi - lo) + "}");
+            if (recorder) {
+                recorder->complete(
+                    std::string(benchName) + " batch " +
+                        std::to_string(bi),
+                    "sim-batch", bbegin,
+                    TraceEventRecorder::Clock::now(), parallelWorkerId(),
+                    std::string("{\"benchmark\": \"") + benchName +
+                        "\", \"first\": " + std::to_string(lo) +
+                        ", \"count\": " + std::to_string(hi - lo) +
+                        "}");
+            }
         }
+        tlc_assert(miss.size() == hi - lo,
+                   "batch [%zu, %zu) returned %zu results", lo, hi,
+                   miss.size());
         for (std::size_t i = lo; i < hi; ++i) {
             auto begin = recorder
                              ? TraceEventRecorder::Clock::now()
@@ -444,18 +467,20 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
     fireProgress(n, /*final=*/true);
 
     out.reserve(n);
-    // With the preflight skipped (result store attached), a trace
-    // that turns out to be unloadable fails every simulated point
-    // with the same non-config status; collapse those to a single
-    // "benchmark <name>" entry so the report matches the preflight
-    // path's shape.
+    // With the preflight skipped (result store attached, or
+    // statistics simulated in another process), a trace that turns
+    // out to be unloadable fails every simulated point with the same
+    // status; collapse those to a single "benchmark <name>" entry so
+    // the report matches the preflight path's shape. Invalid
+    // configurations and quarantined points are failures of their
+    // own point and are recorded per point.
     std::string benchFailure;
     for (std::size_t i = 0; i < n; ++i) {
         Expected<DesignPoint> &p = *slots[i];
         if (p.ok()) {
             out.push_back(std::move(p.value()));
         } else if (report) {
-            if (p.status().code() != StatusCode::InvalidConfig) {
+            if (!isPointFailure(p.status().code())) {
                 std::string repr = p.status().toString();
                 if (repr != benchFailure) {
                     benchFailure = std::move(repr);
@@ -477,49 +502,33 @@ Explorer::evaluateAll(Benchmark b, const std::vector<SystemConfig> &configs,
 std::vector<BenchmarkSweep>
 Explorer::evaluateAll(const SweepRequest &request)
 {
-    // Scoped overrides: the request's thread width and progress
-    // callback are in effect for this call only, restored even when
-    // a body throws.
-    struct Scope
+    // The request's thread width is in effect for this call only,
+    // restored even when a body throws.
+    struct WidthScope
     {
-        Explorer &ex;
-        const bool restoreWorkers;
-        const unsigned prevWorkers;
-        const bool restoreProgress;
-        ProgressCallback prevProgress;
-        double prevInterval;
+        const bool restore;
+        const unsigned prev;
 
-        Scope(Explorer &e, const SweepRequest &req)
-            : ex(e), restoreWorkers(req.threads != 0),
-              prevWorkers(parallelWorkerOverride()),
-              restoreProgress(static_cast<bool>(req.progress)),
-              prevProgress(e.progress_),
-              prevInterval(e.progressIntervalSeconds_)
+        explicit WidthScope(unsigned threads)
+            : restore(threads != 0), prev(parallelWorkerOverride())
         {
-            if (restoreWorkers)
-                setParallelWorkerCount(req.threads);
-            if (restoreProgress) {
-                e.setProgressCallback(req.progress,
-                                      req.progressIntervalSeconds);
-            }
+            if (restore)
+                setParallelWorkerCount(threads);
         }
 
-        ~Scope()
+        ~WidthScope()
         {
-            if (restoreWorkers)
-                setParallelWorkerCount(prevWorkers);
-            if (restoreProgress) {
-                ex.progress_ = std::move(prevProgress);
-                ex.progressIntervalSeconds_ = prevInterval;
-            }
+            if (restore)
+                setParallelWorkerCount(prev);
         }
-    } scope(*this, request);
+    } width(request.threads);
 
     std::vector<BenchmarkSweep> out;
     out.reserve(request.benchmarks.size());
     for (Benchmark b : request.benchmarks) {
-        out.push_back(
-            {b, evaluateAll(b, request.configs, request.report)});
+        out.push_back({b, sweepBatches(b, request.configs, request.report,
+                                       {}, request.progress,
+                                       request.progressIntervalSeconds)});
     }
     return out;
 }

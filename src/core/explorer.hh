@@ -120,7 +120,7 @@ struct SweepProgress
  * A throttled stderr progress printer: one complete line per update
  * (single fwrite, so concurrent workers can't interleave it), of the
  * form "progress: <label> 12/340 (3.5%) 1 failed ...". Suitable for
- * SweepRequest::progress / Explorer::setProgressCallback.
+ * SweepRequest::progress and SupervisorOptions::progress.
  */
 std::function<void(const SweepProgress &)>
 stderrProgressPrinter(std::string label);
@@ -216,28 +216,36 @@ class Explorer
     Expected<DesignPoint> tryEvaluate(Benchmark b,
                                       const SystemConfig &config);
 
+    /** Miss statistics of configs[lo, hi), in input order, when they
+     *  were simulated out of process (core/shard_runner.hh). Called
+     *  concurrently from the worker team. */
+    using BatchStats = std::function<std::vector<Expected<HierarchyStats>>(
+        std::size_t lo, std::size_t hi)>;
+
     /**
      * Price an explicit configuration list benchmark-major: the
      * list is split into contiguous batches, batches run across the
      * parallelFor worker team, and each batch's memo-missing
      * configurations share one pass over the benchmark trace
-     * (tryMissStatsBatch). The output vector is ordered by input
-     * index whatever the batch shape, and with @p report, failed
-     * points are recorded there in input order and skipped
-     * (fail-soft); without it, a failure is fatal as in the classic
-     * API (the lowest-index failure is the one reported). A
-     * benchmark whose trace cannot be loaded is reported once, not
-     * once per configuration.
+     * (tryMissStatsBatch) unless @p stats supplies the batch. The
+     * output vector is ordered by input index whatever the batch
+     * shape, and with @p report, failed points are recorded there in
+     * input order and skipped (fail-soft); without it, a failure is
+     * fatal as in the classic API (the lowest-index failure is the
+     * one reported). A benchmark whose trace cannot be loaded is
+     * reported once, as "benchmark <name>"; invalid and quarantined
+     * (WorkerCrash, WorkerTimeout) points are reported per point.
      */
     std::vector<DesignPoint> evaluateAll(
         Benchmark b, const std::vector<SystemConfig> &configs,
-        FailureReport *report = nullptr);
+        FailureReport *report = nullptr, const BatchStats &stats = {});
 
     /**
      * Run a whole SweepRequest: every benchmark of the request is
      * priced against its configuration list (one batched sweep per
      * benchmark), with the request's report, progress callback and
-     * thread override in effect for the duration of the call.
+     * thread override in effect for the duration of the call. This
+     * is the only way to watch an in-process sweep's progress.
      * Results are ordered like request.benchmarks.
      */
     std::vector<BenchmarkSweep> evaluateAll(const SweepRequest &request);
@@ -252,21 +260,6 @@ class Explorer
     /** Best-performance envelope of a priced sweep. */
     static Envelope envelopeOf(const std::vector<DesignPoint> &points);
 
-    using ProgressCallback = std::function<void(const SweepProgress &)>;
-
-    /**
-     * Install a progress callback for subsequent evaluateAll/sweep
-     * calls (empty callback uninstalls). Invocations are throttled
-     * to at most one per @p min_interval_seconds, except that the
-     * final update (done == total) always fires. The callback may
-     * run on any worker thread — keep it cheap and thread-safe
-     * (stderrProgressPrinter qualifies). Setup-time API: do not call
-     * while a sweep is in flight. Per-request callbacks
-     * (SweepRequest::progress) take precedence for their request.
-     */
-    void setProgressCallback(ProgressCallback cb,
-                             double min_interval_seconds = 0.25);
-
     MissRateEvaluator &evaluator() { return evaluator_; }
     const AccessTimeModel &timingModel() const { return timing_; }
     const AreaModel &areaModel() const { return area_; }
@@ -275,21 +268,27 @@ class Explorer
      * Assemble a DesignPoint from already-computed miss statistics:
      * timing, area and TPI are (memoized) pure functions of the
      * configuration, so pricing the same stats twice is
-     * byte-identical. The process-isolated sweep supervisor
-     * (core/shard_runner.hh) uses this to price statistics its
-     * worker subprocesses simulated out of process.
+     * byte-identical. evaluateAll prices every point through here.
      */
     DesignPoint pricePoint(const SystemConfig &config,
                            const HierarchyStats &miss);
 
   private:
+    using ProgressCallback = std::function<void(const SweepProgress &)>;
+
+    /** evaluateAll with an optional progress callback, throttled to
+     *  one update per @p interval_seconds except the final one
+     *  (done == total), which always fires. */
+    std::vector<DesignPoint> sweepBatches(
+        Benchmark b, const std::vector<SystemConfig> &configs,
+        FailureReport *report, const BatchStats &stats,
+        const ProgressCallback &progress, double interval_seconds);
+
     MissRateEvaluator &evaluator_;
     AccessTimeModel timing_;
     AreaModel area_;
     mutable std::mutex timingMu_;
     std::map<TimingKey, TimingResult> timingCache_;
-    ProgressCallback progress_;
-    double progressIntervalSeconds_ = 0.25;
 };
 
 } // namespace tlc

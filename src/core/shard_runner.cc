@@ -1,9 +1,9 @@
 /**
  * @file
  * Shard-runner implementation: the worker-side simulate-and-report
- * loop, the parent-side retry/bisect/quarantine state machine, and
- * the collection pass that keeps supervised output byte-identical to
- * Explorer::evaluateAll.
+ * loop, the parent-side retry/bisect/quarantine state machine whose
+ * result slots feed Explorer::evaluateAll, and the drivers' shared
+ * sweep call.
  */
 
 #include "shard_runner.hh"
@@ -22,7 +22,7 @@
 #include <signal.h>
 #include <unistd.h>
 
-#include "trace/workload.hh"
+#include "util/bytes.hh"
 #include "util/flight_recorder.hh"
 #include "util/json.hh"
 #include "util/logging.hh"
@@ -108,38 +108,6 @@ constexpr std::uint8_t kTagFlight = 6;
 
 constexpr std::size_t kEventsPerFrame = 256;
 
-void
-putU32le(std::string &s, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-void
-putU64le(std::string &s, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t
-getU32le(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
-
-std::uint64_t
-getU64le(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 std::string
 encodeResult(std::uint32_t index, const Expected<HierarchyStats> &r)
 {
@@ -159,9 +127,7 @@ encodeResult(std::uint32_t index, const Expected<HierarchyStats> &r)
         putU64le(out, s.offchipWritebacks);
     } else {
         putU32le(out, static_cast<std::uint32_t>(r.status().code()));
-        const std::string &msg = r.status().message();
-        putU32le(out, static_cast<std::uint32_t>(msg.size()));
-        out.append(msg);
+        putString(out, r.status().message());
     }
     return out;
 }
@@ -196,85 +162,28 @@ clampStatusCode(std::uint32_t raw)
 bool
 decodeResult(std::string_view payload, WireResult &out)
 {
-    const auto *p =
-        reinterpret_cast<const unsigned char *>(payload.data());
-    if (payload.size() < 1 + 4 + 1 || p[0] != kTagResult)
+    ByteReader r(payload);
+    std::uint8_t tag = 0, ok = 0;
+    if (!r.u8(tag) || tag != kTagResult || !r.u32(out.index) ||
+        !r.u8(ok))
         return false;
-    out.index = getU32le(p + 1);
-    const bool ok = p[5] != 0;
     if (ok) {
-        if (payload.size() != 1 + 4 + 1 + 8 * 8)
-            return false;
         HierarchyStats s;
-        const unsigned char *q = p + 6;
-        s.instrRefs = getU64le(q + 0 * 8);
-        s.dataRefs = getU64le(q + 1 * 8);
-        s.l1iMisses = getU64le(q + 2 * 8);
-        s.l1dMisses = getU64le(q + 3 * 8);
-        s.l2Hits = getU64le(q + 4 * 8);
-        s.l2Misses = getU64le(q + 5 * 8);
-        s.swaps = getU64le(q + 6 * 8);
-        s.offchipWritebacks = getU64le(q + 7 * 8);
+        if (!r.u64(s.instrRefs) || !r.u64(s.dataRefs) ||
+            !r.u64(s.l1iMisses) || !r.u64(s.l1dMisses) ||
+            !r.u64(s.l2Hits) || !r.u64(s.l2Misses) || !r.u64(s.swaps) ||
+            !r.u64(s.offchipWritebacks) || !r.done())
+            return false;
         out.result.emplace(s);
         return true;
     }
-    if (payload.size() < 1 + 4 + 1 + 4 + 4)
+    std::uint32_t code = 0;
+    std::string msg;
+    if (!r.u32(code) || !r.str(msg) || !r.done())
         return false;
-    const StatusCode code = clampStatusCode(getU32le(p + 6));
-    const std::uint32_t msgLen = getU32le(p + 10);
-    if (payload.size() != 1 + 4 + 1 + 4 + 4 +
-                              static_cast<std::size_t>(msgLen))
-        return false;
-    out.result.emplace(Status(
-        code, std::string(payload.substr(1 + 4 + 1 + 4 + 4, msgLen))));
+    out.result.emplace(Status(clampStatusCode(code), std::move(msg)));
     return true;
 }
-
-void
-putString(std::string &s, std::string_view v)
-{
-    putU32le(s, static_cast<std::uint32_t>(v.size()));
-    s.append(v);
-}
-
-/** Cursor-based readers shared by the telemetry decoders; each
- *  returns false instead of reading past the payload. */
-struct WireReader
-{
-    std::string_view payload;
-    std::size_t off = 0;
-
-    bool u32(std::uint32_t &v)
-    {
-        if (payload.size() - off < 4)
-            return false;
-        v = getU32le(reinterpret_cast<const unsigned char *>(
-                         payload.data()) +
-                     off);
-        off += 4;
-        return true;
-    }
-    bool u64(std::uint64_t &v)
-    {
-        if (payload.size() - off < 8)
-            return false;
-        v = getU64le(reinterpret_cast<const unsigned char *>(
-                         payload.data()) +
-                     off);
-        off += 8;
-        return true;
-    }
-    bool str(std::string &v)
-    {
-        std::uint32_t len = 0;
-        if (!u32(len) || payload.size() - off < len)
-            return false;
-        v.assign(payload.data() + off, len);
-        off += len;
-        return true;
-    }
-    bool done() const { return off == payload.size(); }
-};
 
 /** The worker's metrics-registry snapshot as one frame payload.
  *  Values are absolute, but the worker reset its inherited registry
@@ -312,7 +221,7 @@ struct WireMetrics
 bool
 decodeMetrics(std::string_view payload, WireMetrics &out)
 {
-    WireReader r{payload, 1}; // past the tag byte
+    ByteReader r(payload, 1); // past the tag byte
     std::uint32_t n = 0;
     if (!r.u32(n))
         return false;
@@ -359,7 +268,7 @@ bool
 decodePhases(std::string_view payload,
              std::vector<std::pair<std::string, PhaseStats>> &out)
 {
-    WireReader r{payload, 1};
+    ByteReader r(payload, 1);
     std::uint32_t n = 0;
     if (!r.u32(n))
         return false;
@@ -395,7 +304,7 @@ encodeEvents(std::span<const TraceEvent> events)
 bool
 decodeEvents(std::string_view payload, std::vector<TraceEvent> &out)
 {
-    WireReader r{payload, 1};
+    ByteReader r(payload, 1);
     std::uint32_t n = 0;
     if (!r.u32(n))
         return false;
@@ -603,9 +512,11 @@ runShardWorker(int write_fd, Benchmark b,
 
 /**
  * The retry/bisect/quarantine state machine of one supervised sweep.
- * Owns the per-index result slots and quarantine statuses; shards
- * run strictly sequentially (one result-store writer at a time, and
- * the simulation is the bottleneck, not the supervision).
+ * Owns the per-index result slots — a quarantined point's slot holds
+ * its WorkerCrash/WorkerTimeout status — which Explorer::evaluateAll
+ * then reads as its statistics source. Shards run strictly
+ * sequentially (one result-store writer at a time, and the
+ * simulation is the bottleneck, not the supervision).
  */
 class ShardSupervisor
 {
@@ -614,8 +525,7 @@ class ShardSupervisor
                     const std::vector<SystemConfig> &configs,
                     const SupervisorOptions &opts)
         : bench_(b), configs_(configs), opts_(opts),
-          slots_(configs.size()), quarantine_(configs.size()),
-          faultFired_(opts.faults.faults.size(), 0),
+          slots_(configs.size()), faultFired_(opts.faults.faults.size(), 0),
           start_(std::chrono::steady_clock::now())
     {
     }
@@ -638,13 +548,20 @@ class ShardSupervisor
 
     SupervisionStats &stats() { return stats_; }
     std::vector<ShardTimeline> &timeline() { return timeline_; }
-    std::optional<Expected<HierarchyStats>> &slot(std::size_t i)
+
+    /** The resolved slots [lo, hi) after run(): an
+     *  Explorer::BatchStats source. */
+    std::vector<Expected<HierarchyStats>> results(std::size_t lo,
+                                                  std::size_t hi) const
     {
-        return slots_[i];
-    }
-    std::optional<Status> &quarantine(std::size_t i)
-    {
-        return quarantine_[i];
+        std::vector<Expected<HierarchyStats>> out;
+        out.reserve(hi - lo);
+        for (std::size_t i = lo; i < hi; ++i) {
+            tlc_assert(slots_[i].has_value(),
+                       "supervised sweep left index %zu unresolved", i);
+            out.push_back(*slots_[i]);
+        }
+        return out;
     }
 
   private:
@@ -946,13 +863,13 @@ class ShardSupervisor
                 flightCtx += lastFailedFlight_->phase;
                 flightCtx += "'";
             }
-            quarantine_[idx] = statusf(
+            slots_[idx] = Expected<HierarchyStats>(statusf(
                 code,
                 "isolated worker %s; point quarantined after %d "
                 "attempt(s)%s",
                 outcome.detail.c_str(),
                 1 + std::max(0, opts_.retry.maxRetries),
-                flightCtx.c_str());
+                flightCtx.c_str()));
             warn("supervisor: quarantined design point %s (%s%s)",
                  configs_[idx].label().c_str(),
                  outcome.detail.c_str(), flightCtx.c_str());
@@ -988,20 +905,14 @@ class ShardSupervisor
         lastProgressSeconds_ = nowSeconds;
         SweepProgress p;
         p.total = configs_.size();
-        for (std::size_t i = 0; i < slots_.size(); ++i) {
-            if (quarantine_[i].has_value()) {
+        for (const auto &slot : slots_) {
+            if (slot.has_value()) {
                 ++p.done;
-                ++p.failed;
-            } else if (slots_[i].has_value()) {
-                ++p.done;
-                if (!slots_[i]->ok())
+                if (!slot->ok())
                     ++p.failed;
             }
         }
-        p.elapsedSeconds =
-            std::chrono::duration<double>(
-                std::chrono::steady_clock::now() - start_)
-                .count();
+        p.elapsedSeconds = nowSeconds;
         p.etaSeconds =
             p.done ? p.elapsedSeconds *
                          static_cast<double>(p.total - p.done) /
@@ -1016,7 +927,6 @@ class ShardSupervisor
     SupervisionStats stats_;
     std::vector<ShardTimeline> timeline_;
     std::vector<std::optional<Expected<HierarchyStats>>> slots_;
-    std::vector<std::optional<Status>> quarantine_;
     std::vector<int> faultFired_;
     std::optional<FlightInfo> lastFailedFlight_;
     std::chrono::steady_clock::time_point start_;
@@ -1038,50 +948,17 @@ supervisedEvaluateAll(Explorer &ex, Benchmark b,
     if (configs.empty())
         return out;
 
-    // The in-process engine ticks explore.sweeps once per sweep; do
-    // the same here so the aggregated rollups of an isolated run
-    // stay comparable counter-for-counter with evaluateAll.
-    MetricsRegistry::global().counter("explore.sweeps").inc();
-
     ShardSupervisor sup(b, configs, opts);
     sup.run();
+    // The workers simulated; pricing and collection are Explorer's
+    // own batch loop, fed from the supervisor's slots, so points,
+    // envelopes and report ordering are those of an in-process run.
+    out.points = ex.evaluateAll(
+        b, configs, report, [&sup](std::size_t lo, std::size_t hi) {
+            return sup.results(lo, hi);
+        });
     out.stats = sup.stats();
     out.timeline = std::move(sup.timeline());
-
-    // Collection: mirror Explorer::evaluateAll exactly, in input
-    // index order — ok points price through the same memoized pure
-    // functions, failed points record the same way (including the
-    // collapse of repeated non-config benchmark failures into one
-    // entry), so points, envelopes and report ordering are
-    // byte-identical to an in-process run. Quarantined points slot
-    // in at their input position like any other per-point failure.
-    const char *benchName = Workloads::info(b).name;
-    std::string benchFailure;
-    out.points.reserve(configs.size());
-    for (std::size_t i = 0; i < configs.size(); ++i) {
-        if (sup.quarantine(i).has_value()) {
-            report->add(configs[i].label(), *sup.quarantine(i));
-            continue;
-        }
-        tlc_assert(sup.slot(i).has_value(),
-                   "supervised sweep left index %zu unresolved", i);
-        Expected<HierarchyStats> &r = *sup.slot(i);
-        if (r.ok()) {
-            out.points.push_back(ex.pricePoint(configs[i], r.value()));
-        } else if (r.status().code() != StatusCode::InvalidConfig) {
-            std::string repr = r.status().toString();
-            if (repr != benchFailure) {
-                benchFailure = std::move(repr);
-                report->add(std::string("benchmark ") + benchName,
-                            r.status());
-            }
-        } else {
-            MetricsRegistry::global()
-                .counter("explore.points.failed")
-                .inc();
-            report->add(configs[i].label(), r.status());
-        }
-    }
     return out;
 }
 
@@ -1161,19 +1038,6 @@ supervisorTimelinesJson(const SupervisionStats &stats,
     return os.str();
 }
 
-SupervisedSweep
-supervisedSweepSpace(Explorer &ex, Benchmark b,
-                     const SystemAssumptions &assume,
-                     bool include_single_level, bool include_two_level,
-                     FailureReport *report, const SupervisorOptions &opts)
-{
-    return supervisedEvaluateAll(
-        ex, b,
-        DesignSpace::enumerate(assume, include_single_level,
-                               include_two_level),
-        report, opts);
-}
-
 bool
 supervisorOptionsFromArgs(const ArgParser &args, SupervisorOptions *out)
 {
@@ -1203,6 +1067,95 @@ supervisorOptionsFromArgs(const ArgParser &args, SupervisorOptions *out)
     inject("inject-hang-at", ShardFault::Kind::Hang);
     inject("inject-partial-at", ShardFault::Kind::PartialWrite);
     return mode == "process";
+}
+
+namespace {
+
+/** The drivers' evaluator: --refs, plus the result store when this
+ *  process is its writer (in process; under isolation the workers
+ *  open it themselves). */
+EvaluatorOptions
+driverEvaluatorOptions(const cli::SweepFlags &flags, bool isolate)
+{
+    EvaluatorOptions eo;
+    eo.traceRefs = flags.refs;
+    if (!flags.resultStore.empty() && !isolate) {
+        auto store = std::make_shared<SweepCache>();
+        ResultStoreOptions ro;
+        ro.fsyncOnCommit = flags.storeFsync;
+        Status s = store->open(flags.resultStore, ro);
+        if (!s.ok())
+            fatal("result store: %s", s.message().c_str());
+        eo.resultStore = std::move(store);
+    }
+    return eo;
+}
+
+} // namespace
+
+DriverSweep::DriverSweep(const ArgParser &args,
+                         const cli::SweepFlags &flags)
+    : isolate_(supervisorOptionsFromArgs(args, &sopts_)),
+      progress_(flags.progress), start_(std::chrono::steady_clock::now()),
+      evaluator_(driverEvaluatorOptions(flags, isolate_)),
+      explorer_(evaluator_)
+{
+    sopts_.evaluator.traceRefs = flags.refs;
+    sopts_.resultStorePath = flags.resultStore;
+}
+
+std::vector<DesignPoint>
+DriverSweep::sweep(Benchmark b, const SystemAssumptions &assume,
+                   bool include_two_level,
+                   const std::string &progress_label)
+{
+    std::vector<SystemConfig> configs =
+        DesignSpace::enumerate(assume, true, include_two_level);
+    std::function<void(const SweepProgress &)> progress;
+    if (progress_)
+        progress = stderrProgressPrinter(progress_label);
+
+    std::vector<DesignPoint> points;
+    if (isolate_) {
+        SupervisorOptions so = sopts_;
+        so.progress = std::move(progress);
+        SupervisedSweep sw =
+            supervisedEvaluateAll(explorer_, b, configs, &report_, so);
+        stats_.accumulate(sw.stats);
+        timeline_.insert(timeline_.end(),
+                         std::make_move_iterator(sw.timeline.begin()),
+                         std::make_move_iterator(sw.timeline.end()));
+        points = std::move(sw.points);
+    } else {
+        SweepRequest req;
+        req.configs = std::move(configs);
+        req.benchmarks = {b};
+        req.report = &report_;
+        req.progress = std::move(progress);
+        points = std::move(explorer_.evaluateAll(req).front().points);
+    }
+    pointsPriced_ += points.size();
+    return points;
+}
+
+void
+DriverSweep::finish(cli::TelemetrySession &telemetry, int argc,
+                    const char *const *argv,
+                    const std::string &workload) const
+{
+    if (!report_.empty())
+        std::fputs(report_.summary().c_str(), stderr);
+    cli::TelemetrySession::RunSummary summary;
+    summary.workload = workload;
+    summary.traceRefs = evaluator_.traceRefs();
+    summary.pointsPriced = pointsPriced_;
+    summary.failures = report_.size();
+    summary.wallSeconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start_)
+                              .count();
+    if (isolate_)
+        summary.supervisorJson = supervisorTimelinesJson(stats_, timeline_);
+    telemetry.finish(argc, argv, summary);
 }
 
 } // namespace tlc

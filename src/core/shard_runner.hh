@@ -22,9 +22,10 @@
  *   price   quarantine that point into the FailureReport
  *
  * Healthy points are completely unaffected: workers return bit-exact
- * HierarchyStats over a CRC-framed pipe (util/supervisor.hh), the
- * parent re-prices them through Explorer::pricePoint (memoized pure
- * functions of the configuration), and results, envelopes and
+ * HierarchyStats over a CRC-framed pipe (util/supervisor.hh), and
+ * the parent hands them to Explorer::evaluateAll as its statistics
+ * source, so the very loop that prices and collects an in-process
+ * sweep prices and collects this one. Results, envelopes and
  * failure-report ordering are byte-identical to an in-process run —
  * the differential tests in tests/test_supervisor.cc enforce this.
  *
@@ -66,6 +67,7 @@
 #ifndef TLC_CORE_SHARD_RUNNER_HH
 #define TLC_CORE_SHARD_RUNNER_HH
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -208,29 +210,19 @@ supervisorTimelinesJson(const SupervisionStats &stats,
                         const std::vector<ShardTimeline> &timeline);
 
 /**
- * Price @p configs on @p b like Explorer::evaluateAll, but simulate
- * every shard in a forked worker subprocess under @p opts. Failed
- * points land in @p report exactly as the in-process engine would
- * record them, plus quarantined points (repeated worker death) as
- * WorkerCrash/WorkerTimeout entries. @p report is required: a
- * supervisor exists to keep going, which only makes sense fail-soft.
+ * Price @p configs on @p b through Explorer::evaluateAll, but
+ * simulate every shard in a forked worker subprocess under @p opts
+ * first. Failed points land in @p report exactly as the in-process
+ * engine would record them, plus quarantined points (repeated worker
+ * death) as per-point WorkerCrash/WorkerTimeout entries. @p report
+ * is required: a supervisor exists to keep going, which only makes
+ * sense fail-soft.
  */
 SupervisedSweep
 supervisedEvaluateAll(Explorer &ex, Benchmark b,
                       const std::vector<SystemConfig> &configs,
                       FailureReport *report,
                       const SupervisorOptions &opts);
-
-/**
- * Supervised twin of Explorer::sweep: enumerate the design space of
- * @p assume and run it through supervisedEvaluateAll.
- */
-SupervisedSweep
-supervisedSweepSpace(Explorer &ex, Benchmark b,
-                     const SystemAssumptions &assume,
-                     bool include_single_level, bool include_two_level,
-                     FailureReport *report,
-                     const SupervisorOptions &opts);
 
 /**
  * Parse the process-isolation flags the sweep drivers share
@@ -256,6 +248,47 @@ supervisedSweepSpace(Explorer &ex, Benchmark b,
  */
 bool supervisorOptionsFromArgs(const ArgParser &args,
                                SupervisorOptions *out);
+
+/**
+ * The sweep call design_explorer and figure_runner share: one
+ * evaluator and explorer per run (memo hits carry across its sweeps),
+ * every sweep fail-soft into one FailureReport, in process or under
+ * --isolate=process. It owns the rule that exactly one process writes
+ * the --result-store (the driver in process, the workers under
+ * isolation), the --progress printer, and the run manifest's
+ * summary, supervision stats and attempt timelines included.
+ */
+class DriverSweep
+{
+  public:
+    /** Fatal when the in-process result store cannot be opened. */
+    DriverSweep(const ArgParser &args, const cli::SweepFlags &flags);
+
+    /** Price the design space of @p assume on @p b (single-level
+     *  points always, two-level ones when @p include_two_level);
+     *  progress lines carry @p progress_label. */
+    std::vector<DesignPoint> sweep(Benchmark b,
+                                   const SystemAssumptions &assume,
+                                   bool include_two_level,
+                                   const std::string &progress_label);
+
+    /** Summarise skipped points on stderr (if any), then write the
+     *  run's telemetry artifacts for @p workload. */
+    void finish(cli::TelemetrySession &telemetry, int argc,
+                const char *const *argv, const std::string &workload) const;
+
+  private:
+    SupervisorOptions sopts_;
+    bool isolate_;
+    bool progress_;
+    std::chrono::steady_clock::time_point start_;
+    MissRateEvaluator evaluator_;
+    Explorer explorer_;
+    FailureReport report_;
+    std::uint64_t pointsPriced_ = 0;
+    SupervisionStats stats_;
+    std::vector<ShardTimeline> timeline_;
+};
 
 } // namespace tlc
 

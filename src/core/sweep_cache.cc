@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "util/bytes.hh"
 #include "util/logging.hh"
 #include "util/metrics.hh"
 #include "util/profiler.hh"
@@ -41,22 +42,6 @@ struct CacheMetrics
 /** The profiler phase charged with store traffic. */
 constexpr const char *kPhaseSweepCache = "sweep.cache";
 
-void
-putU64le(std::string &s, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint64_t
-getU64le(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<std::uint64_t>(p[i]) << (8 * i);
-    return v;
-}
-
 /**
  * Payload layout: u64 key-text length, the key text (collision and
  * schema guard), then the eight stats fields in declaration order.
@@ -87,7 +72,7 @@ deserializeStats(const std::string &payload, const std::string &key_text,
         return false;
     const unsigned char *p =
         reinterpret_cast<const unsigned char *>(payload.data());
-    std::uint64_t textLen = getU64le(p);
+    std::uint64_t textLen = loadU64le(p);
     if (textLen != key_text.size() ||
         payload.size() != 8 + textLen + 8 * 8) {
         return false;
@@ -95,14 +80,14 @@ deserializeStats(const std::string &payload, const std::string &key_text,
     if (payload.compare(8, textLen, key_text) != 0)
         return false;
     p += 8 + textLen;
-    out.instrRefs = getU64le(p + 0 * 8);
-    out.dataRefs = getU64le(p + 1 * 8);
-    out.l1iMisses = getU64le(p + 2 * 8);
-    out.l1dMisses = getU64le(p + 3 * 8);
-    out.l2Hits = getU64le(p + 4 * 8);
-    out.l2Misses = getU64le(p + 5 * 8);
-    out.swaps = getU64le(p + 6 * 8);
-    out.offchipWritebacks = getU64le(p + 7 * 8);
+    out.instrRefs = loadU64le(p + 0 * 8);
+    out.dataRefs = loadU64le(p + 1 * 8);
+    out.l1iMisses = loadU64le(p + 2 * 8);
+    out.l1dMisses = loadU64le(p + 3 * 8);
+    out.l2Hits = loadU64le(p + 4 * 8);
+    out.l2Misses = loadU64le(p + 5 * 8);
+    out.swaps = loadU64le(p + 6 * 8);
+    out.offchipWritebacks = loadU64le(p + 7 * 8);
     return true;
 }
 

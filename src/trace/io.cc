@@ -15,6 +15,7 @@
 #include <ostream>
 #include <sstream>
 
+#include "util/bytes.hh"
 #include "util/crc32.hh"
 #include "util/metrics.hh"
 
@@ -24,44 +25,29 @@ const char kTraceMagic[4] = {'T', 'L', 'C', 'T'};
 
 namespace {
 
+/** Write a magic + version + record-count header. */
 void
-putU32(std::ostream &os, std::uint32_t v)
+writeHeader(std::ostream &os, std::uint32_t version, std::uint64_t count)
 {
-    char b[4];
-    b[0] = static_cast<char>(v & 0xff);
-    b[1] = static_cast<char>((v >> 8) & 0xff);
-    b[2] = static_cast<char>((v >> 16) & 0xff);
-    b[3] = static_cast<char>((v >> 24) & 0xff);
-    os.write(b, 4);
+    std::string h(kTraceMagic, 4);
+    putU32le(h, version);
+    putU64le(h, count);
+    os.write(h.data(), static_cast<std::streamsize>(h.size()));
 }
 
+/** Read one little-endian u32 or u64; false when the stream ends
+ *  first. */
+template <typename T>
 bool
-getU32(std::istream &is, std::uint32_t &v)
+readLe(std::istream &is, T &v)
 {
-    unsigned char b[4];
-    if (!is.read(reinterpret_cast<char *>(b), 4))
+    unsigned char b[sizeof(T)];
+    if (!is.read(reinterpret_cast<char *>(b), sizeof b))
         return false;
-    v = static_cast<std::uint32_t>(b[0]) |
-        (static_cast<std::uint32_t>(b[1]) << 8) |
-        (static_cast<std::uint32_t>(b[2]) << 16) |
-        (static_cast<std::uint32_t>(b[3]) << 24);
-    return true;
-}
-
-void
-putU64(std::ostream &os, std::uint64_t v)
-{
-    putU32(os, static_cast<std::uint32_t>(v & 0xffffffffu));
-    putU32(os, static_cast<std::uint32_t>(v >> 32));
-}
-
-bool
-getU64(std::istream &is, std::uint64_t &v)
-{
-    std::uint32_t lo, hi;
-    if (!getU32(is, lo) || !getU32(is, hi))
-        return false;
-    v = (static_cast<std::uint64_t>(hi) << 32) | lo;
+    if constexpr (sizeof(T) == 4)
+        v = loadU32le(b);
+    else
+        v = loadU64le(b);
     return true;
 }
 
@@ -112,13 +98,12 @@ clampedReserve(std::uint64_t count, std::uint64_t remaining,
 void
 writeBinaryTrace(std::ostream &os, const TraceBuffer &buf)
 {
-    os.write(kTraceMagic, 4);
-    putU32(os, kTraceVersion);
-    putU64(os, buf.size());
+    writeHeader(os, kTraceVersion, buf.size());
     for (const auto &rec : buf) {
-        putU32(os, rec.addr);
-        char t = static_cast<char>(rec.type);
-        os.write(&t, 1);
+        unsigned char r[5];
+        storeU32le(r, rec.addr);
+        r[4] = static_cast<unsigned char>(rec.type);
+        os.write(reinterpret_cast<const char *>(r), sizeof r);
     }
 }
 
@@ -144,7 +129,7 @@ readBinaryTrace(std::istream &is, TraceBuffer &buf)
                        static_cast<unsigned char>(magic[3]));
     }
     std::uint32_t version;
-    if (!getU32(is, version))
+    if (!readLe(is, version))
         return Status(StatusCode::Truncated,
                       "stream ends inside the version field");
     if (version != kTraceVersion) {
@@ -153,7 +138,7 @@ readBinaryTrace(std::istream &is, TraceBuffer &buf)
                        version, kTraceVersion);
     }
     std::uint64_t count;
-    if (!getU64(is, count))
+    if (!readLe(is, count))
         return Status(StatusCode::Truncated,
                       "stream ends inside the record count");
     // Reject only clearly-hostile counts here (more records than
@@ -171,39 +156,27 @@ readBinaryTrace(std::istream &is, TraceBuffer &buf)
     }
     buf.reserve(entry + clampedReserve(count, remaining, 5));
     for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint32_t addr;
-        char t;
-        if (!getU32(is, addr) || !is.read(&t, 1)) {
+        unsigned char r[5];
+        if (!is.read(reinterpret_cast<char *>(r), sizeof r)) {
             return fail(statusf(
                 StatusCode::Truncated,
                 "stream ends inside record %llu of %llu",
                 static_cast<unsigned long long>(i),
                 static_cast<unsigned long long>(count)));
         }
+        const char t = static_cast<char>(r[4]);
         if (t < 0 || t > 2) {
             return fail(statusf(
                 StatusCode::TypeOutOfRange,
                 "record %llu has reference type %d (expected 0..2)",
                 static_cast<unsigned long long>(i), static_cast<int>(t)));
         }
-        buf.append(addr, static_cast<RefType>(t));
+        buf.append(loadU32le(r), static_cast<RefType>(t));
     }
     return Status();
 }
 
 namespace {
-
-void
-putVarint(std::ostream &os, std::uint64_t v)
-{
-    while (v >= 0x80) {
-        char b = static_cast<char>((v & 0x7f) | 0x80);
-        os.write(&b, 1);
-        v >>= 7;
-    }
-    char b = static_cast<char>(v);
-    os.write(&b, 1);
-}
 
 Status
 getVarint(std::istream &is, std::uint64_t &v)
@@ -258,10 +231,7 @@ std::uint32_t
 crcRecord(std::uint32_t state, std::uint32_t addr, unsigned ty)
 {
     unsigned char rec[5];
-    rec[0] = static_cast<unsigned char>(addr & 0xff);
-    rec[1] = static_cast<unsigned char>((addr >> 8) & 0xff);
-    rec[2] = static_cast<unsigned char>((addr >> 16) & 0xff);
-    rec[3] = static_cast<unsigned char>((addr >> 24) & 0xff);
+    storeU32le(rec, addr);
     rec[4] = static_cast<unsigned char>(ty);
     return crc32Update(state, rec, sizeof rec);
 }
@@ -271,9 +241,7 @@ crcRecord(std::uint32_t state, std::uint32_t addr, unsigned ty)
 void
 writeCompressedTrace(std::ostream &os, const TraceBuffer &buf)
 {
-    os.write(kTraceMagic, 4);
-    putU32(os, kTraceVersionCompressedCrc);
-    putU64(os, buf.size());
+    writeHeader(os, kTraceVersionCompressedCrc, buf.size());
     std::uint32_t last[3] = {0, 0, 0};
     std::uint32_t crc = kCrc32Init;
     for (const auto &rec : buf) {
@@ -281,10 +249,15 @@ writeCompressedTrace(std::ostream &os, const TraceBuffer &buf)
         std::int64_t delta = static_cast<std::int64_t>(rec.addr) -
             static_cast<std::int64_t>(last[ty]);
         last[ty] = rec.addr;
-        putVarint(os, (zigzag(delta) << 2) | ty);
+        unsigned char v[kMaxVarintBytes];
+        os.write(reinterpret_cast<const char *>(v),
+                 static_cast<std::streamsize>(
+                     encodeVarint(v, (zigzag(delta) << 2) | ty)));
         crc = crcRecord(crc, rec.addr, ty);
     }
-    putU32(os, crc32Final(crc));
+    unsigned char footer[4];
+    storeU32le(footer, crc32Final(crc));
+    os.write(reinterpret_cast<const char *>(footer), sizeof footer);
 }
 
 Status
@@ -309,7 +282,7 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
                        static_cast<unsigned char>(magic[3]));
     }
     std::uint32_t version;
-    if (!getU32(is, version))
+    if (!readLe(is, version))
         return Status(StatusCode::Truncated,
                       "stream ends inside the version field");
     if (version != kTraceVersionCompressed &&
@@ -321,7 +294,7 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
     }
     const bool hasFooter = version == kTraceVersionCompressedCrc;
     std::uint64_t count;
-    if (!getU64(is, count))
+    if (!readLe(is, count))
         return Status(StatusCode::Truncated,
                       "stream ends inside the record count");
     const std::uint64_t remaining = remainingBytes(is);
@@ -368,7 +341,7 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
     }
     if (hasFooter) {
         std::uint32_t want;
-        if (!getU32(is, want)) {
+        if (!readLe(is, want)) {
             return fail(Status(StatusCode::Truncated,
                                "stream ends inside the CRC footer"));
         }
@@ -490,7 +463,7 @@ loadTraceFile(const std::string &path, TraceBuffer &buf)
     char magic[4];
     if (is.read(magic, 4) && std::memcmp(magic, kTraceMagic, 4) == 0) {
         std::uint32_t version = 0;
-        if (!getU32(is, version)) {
+        if (!readLe(is, version)) {
             TraceIoMetrics::get().errors.inc();
             return statusf(StatusCode::Truncated,
                            "'%s': file ends inside the binary trace "

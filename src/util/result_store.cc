@@ -15,6 +15,7 @@
 #include <cstring>
 #include <unistd.h>
 
+#include "util/bytes.hh"
 #include "util/crc32.hh"
 #include "util/logging.hh"
 
@@ -25,24 +26,6 @@ const char kResultStoreMagic[4] = {'T', 'L', 'R', 'S'};
 namespace {
 
 constexpr std::size_t kHeaderBytes = 8;
-
-void
-putU32le(std::string &s, std::uint32_t v)
-{
-    s.push_back(static_cast<char>(v & 0xff));
-    s.push_back(static_cast<char>((v >> 8) & 0xff));
-    s.push_back(static_cast<char>((v >> 16) & 0xff));
-    s.push_back(static_cast<char>((v >> 24) & 0xff));
-}
-
-std::uint32_t
-getU32le(const unsigned char *p)
-{
-    return static_cast<std::uint32_t>(p[0]) |
-        (static_cast<std::uint32_t>(p[1]) << 8) |
-        (static_cast<std::uint32_t>(p[2]) << 16) |
-        (static_cast<std::uint32_t>(p[3]) << 24);
-}
 
 } // namespace
 
@@ -171,7 +154,7 @@ ResultStore::scan()
                        "%02x%02x%02x%02x)", path_.c_str(), header[0],
                        header[1], header[2], header[3]);
     }
-    std::uint32_t version = getU32le(header + 4);
+    std::uint32_t version = loadU32le(header + 4);
     if (version != kResultStoreVersion) {
         return statusf(StatusCode::VersionMismatch,
                        "result store '%s' has format version %u where "
@@ -195,8 +178,8 @@ ResultStore::scan()
             tornTail = true;
             break;
         }
-        std::uint32_t keyBytes = getU32le(lens);
-        std::uint32_t payloadBytes = getU32le(lens + 4);
+        std::uint32_t keyBytes = loadU32le(lens);
+        std::uint32_t payloadBytes = loadU32le(lens + 4);
         if (keyBytes == 0 || keyBytes > kResultStoreMaxKeyBytes ||
             payloadBytes > kResultStoreMaxPayloadBytes) {
             tornTail = true;
@@ -215,7 +198,7 @@ ResultStore::scan()
         std::uint32_t state = crc32Update(kCrc32Init, key.data(),
                                           keyBytes);
         state = crc32Update(state, payload.data(), payloadBytes);
-        if (crc32Final(state) != getU32le(crcBuf)) {
+        if (crc32Final(state) != loadU32le(crcBuf)) {
             // The record's frame is intact (lengths were plausible
             // and everything was present), so scanning can continue
             // past it — the entry just stops answering lookups.

@@ -36,7 +36,6 @@ simdBackendName(SimdBackend b)
     switch (b) {
       case SimdBackend::Scalar: return "scalar";
       case SimdBackend::Avx2: return "avx2";
-      case SimdBackend::Neon: return "neon";
     }
     return "unknown";
 }
@@ -49,12 +48,6 @@ simdBackendCompiled(SimdBackend b)
         return true;
       case SimdBackend::Avx2:
 #if defined(TLC_SIMD_HAVE_AVX2)
-        return true;
-#else
-        return false;
-#endif
-      case SimdBackend::Neon:
-#if defined(TLC_SIMD_HAVE_NEON)
         return true;
 #else
         return false;
@@ -77,10 +70,6 @@ simdBackendSupported(SimdBackend b)
 #else
         return false;
 #endif
-      case SimdBackend::Neon:
-        // NEON is architectural on aarch64: compiled-in implies
-        // supported.
-        return true;
     }
     return false;
 }
@@ -90,8 +79,6 @@ detectSimdBackend()
 {
     if (simdBackendSupported(SimdBackend::Avx2))
         return SimdBackend::Avx2;
-    if (simdBackendSupported(SimdBackend::Neon))
-        return SimdBackend::Neon;
     return SimdBackend::Scalar;
 }
 
@@ -102,13 +89,11 @@ parseSimdBackend(const std::string &text)
         return SimdBackend::Scalar;
     if (text == "avx2")
         return SimdBackend::Avx2;
-    if (text == "neon")
-        return SimdBackend::Neon;
     if (text == "native")
         return detectSimdBackend();
     return statusf(StatusCode::InvalidConfig,
                    "unknown SIMD backend '%s' "
-                   "(expected scalar, avx2, neon, or native)",
+                   "(expected scalar, avx2, or native)",
                    text.c_str());
 }
 

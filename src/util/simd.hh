@@ -7,14 +7,15 @@
  * a first-class runtime concept rather than a compile-time fact:
  *
  *  - Every binary always carries the scalar kernels, plus the AVX2
- *    kernels on x86-64 (compiled in a dedicated -mavx2 TU) and the
- *    NEON kernels on aarch64. simdBackendCompiled() reports what this
- *    binary carries.
+ *    kernels on x86-64 (compiled in a dedicated -mavx2 TU).
+ *    simdBackendCompiled() reports what this binary carries. Other
+ *    ISAs run the scalar kernels: a vector backend is kept only
+ *    while a CI job builds and tests it.
  *  - At runtime, detectSimdBackend() picks the best backend the CPU
- *    actually supports (cpuid on x86; NEON is architectural on
- *    aarch64). simdBackendSupported() exposes the per-backend answer.
- *  - The TLC_SIMD environment variable (scalar | avx2 | neon |
- *    native) overrides detection — this is what the CI dispatch
+ *    actually supports (cpuid on x86). simdBackendSupported()
+ *    exposes the per-backend answer.
+ *  - The TLC_SIMD environment variable (scalar | avx2 | native)
+ *    overrides detection — this is what the CI dispatch
  *    matrix forces so the scalar-vs-vector byte-identity suite can
  *    pin each backend. An unknown or unsupported value is a fatal
  *    user error: a forced backend that silently fell back would make
@@ -24,13 +25,12 @@
  *
  * The wrapper intrinsics themselves live at the bottom of this
  * header in per-ISA inline namespaces: a TU compiled with -mavx2
- * sees the AVX2 implementation, an aarch64 TU the NEON one, anything
- * else the scalar one, and a TU may force the scalar variant by
- * defining TLC_SIMD_FORCE_SCALAR before including this header. The
- * inline-namespace spelling keeps the three variants distinct
- * symbols, so a binary carrying several of them never ODR-merges a
- * vector body into a scalar call site (which would break forced-
- * scalar runs and SIGILL on older CPUs).
+ * sees the AVX2 implementation, anything else the scalar one, and a
+ * TU may force the scalar variant by defining TLC_SIMD_FORCE_SCALAR
+ * before including this header. The inline-namespace spelling keeps
+ * the two variants distinct symbols, so a binary carrying both never
+ * ODR-merges a vector body into a scalar call site (which would
+ * break forced-scalar runs and SIGILL on older CPUs).
  */
 
 #ifndef TLC_UTIL_SIMD_HH
@@ -43,8 +43,6 @@
 
 #if !defined(TLC_SIMD_FORCE_SCALAR) && defined(__AVX2__)
 #include <immintrin.h>
-#elif !defined(TLC_SIMD_FORCE_SCALAR) && defined(__aarch64__)
-#include <arm_neon.h>
 #endif
 
 namespace tlc {
@@ -52,11 +50,10 @@ namespace tlc {
 /** Vector instruction set a lane kernel was compiled against. */
 enum class SimdBackend : std::uint8_t {
     Scalar, ///< plain C++ (always available, the reference semantics)
-    Avx2,   ///< x86-64 AVX2, 4 x u64 per 256-bit vector
-    Neon    ///< aarch64 NEON, 2 x u64 per 128-bit vector
+    Avx2    ///< x86-64 AVX2, 4 x u64 per 256-bit vector
 };
 
-/** Stable lower-case name ("scalar", "avx2", "neon"). */
+/** Stable lower-case name ("scalar", "avx2"). */
 const char *simdBackendName(SimdBackend b);
 
 /** Was this backend's kernel set compiled into the binary? */
@@ -72,7 +69,7 @@ bool simdBackendSupported(SimdBackend b);
 SimdBackend detectSimdBackend();
 
 /**
- * Parse a TLC_SIMD spelling: "scalar", "avx2", "neon" name a backend,
+ * Parse a TLC_SIMD spelling: "scalar", "avx2" name a backend,
  * "native" means detectSimdBackend(). Unknown spellings return
  * InvalidConfig (callers decide whether that is fatal).
  */
@@ -114,7 +111,7 @@ void clearSimdBackendOverride();
 // selected by the TU's own ISA flags. All variants implement the
 // same contracts:
 //
-//   simdWidth              elements per vector step (1 / 2 / 4)
+//   simdWidth              elements per vector step (1 / 4)
 //   eqMask(p, n, want, ignore)
 //     bit i set iff (p[i] & ~ignore) == want, for i in [0, n)
 //   zeroMask(p, n, bit)
@@ -218,79 +215,6 @@ probeRow(std::uint64_t *row, std::uint32_t n, std::uint64_t want,
 }
 
 } // inline namespace simd_avx2_ops
-
-#elif !defined(TLC_SIMD_FORCE_SCALAR) && defined(__aarch64__)
-
-inline namespace simd_neon_ops {
-
-constexpr std::uint32_t simdWidth = 2;
-constexpr SimdBackend simdOpsBackend = SimdBackend::Neon;
-
-inline std::uint64_t
-eqMask(const std::uint64_t *p, std::uint32_t n, std::uint64_t want,
-       std::uint64_t ignore)
-{
-    const uint64x2_t vwant = vdupq_n_u64(want);
-    const uint64x2_t vkeep = vdupq_n_u64(~ignore);
-    std::uint64_t mask = 0;
-    std::uint32_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        uint64x2_t e = vld1q_u64(p + i);
-        uint64x2_t eq = vceqq_u64(vandq_u64(e, vkeep), vwant);
-        mask |= (vgetq_lane_u64(eq, 0) & 1) << i;
-        mask |= (vgetq_lane_u64(eq, 1) & 1) << (i + 1);
-    }
-    for (; i < n; ++i)
-        mask |= static_cast<std::uint64_t>((p[i] & ~ignore) == want) << i;
-    return mask;
-}
-
-inline std::uint64_t
-zeroMask(const std::uint64_t *p, std::uint32_t n, std::uint64_t bit)
-{
-    const uint64x2_t vbit = vdupq_n_u64(bit);
-    const uint64x2_t vzero = vdupq_n_u64(0);
-    std::uint64_t mask = 0;
-    std::uint32_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        uint64x2_t e = vld1q_u64(p + i);
-        uint64x2_t z = vceqq_u64(vandq_u64(e, vbit), vzero);
-        mask |= (vgetq_lane_u64(z, 0) & 1) << i;
-        mask |= (vgetq_lane_u64(z, 1) & 1) << (i + 1);
-    }
-    for (; i < n; ++i)
-        mask |= static_cast<std::uint64_t>((p[i] & bit) == 0) << i;
-    return mask;
-}
-
-inline std::uint64_t
-probeRow(std::uint64_t *row, std::uint32_t n, std::uint64_t want,
-         std::uint64_t dirtyBit, std::uint64_t orOnHit)
-{
-    const uint64x2_t vwant = vdupq_n_u64(want);
-    const uint64x2_t vkeep = vdupq_n_u64(~dirtyBit);
-    const uint64x2_t vor = vdupq_n_u64(orOnHit);
-    std::uint64_t miss = 0;
-    std::uint32_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        uint64x2_t e = vld1q_u64(row + i);
-        uint64x2_t hit = vceqq_u64(vandq_u64(e, vkeep), vwant);
-        if (orOnHit)
-            vst1q_u64(row + i, vorrq_u64(e, vandq_u64(hit, vor)));
-        miss |= (~vgetq_lane_u64(hit, 0) & 1) << i;
-        miss |= (~vgetq_lane_u64(hit, 1) & 1) << (i + 1);
-    }
-    for (; i < n; ++i) {
-        std::uint64_t e = row[i];
-        if ((e & ~dirtyBit) == want)
-            row[i] = e | orOnHit;
-        else
-            miss |= std::uint64_t(1) << i;
-    }
-    return miss;
-}
-
-} // inline namespace simd_neon_ops
 
 #else
 

@@ -17,6 +17,7 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include "util/bytes.hh"
 #include "util/crc32.hh"
 #include "util/flight_recorder.hh"
 #include "util/logging.hh"
@@ -49,22 +50,6 @@ struct WorkerMetrics
         return m;
     }
 };
-
-void
-putU32le(std::string &s, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        s.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
-}
-
-std::uint32_t
-getU32le(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i)
-        v |= static_cast<std::uint32_t>(p[i]) << (8 * i);
-    return v;
-}
 
 double
 nowSeconds()
@@ -123,8 +108,8 @@ drainFrames(std::string &buf,
     std::size_t off = 0;
     bool ok = true;
     while (buf.size() - off >= 8) {
-        const std::uint32_t len = getU32le(base + off);
-        const std::uint32_t want = getU32le(base + off + 4);
+        const std::uint32_t len = loadU32le(base + off);
+        const std::uint32_t want = loadU32le(base + off + 4);
         if (len > kMaxFrameBytes) {
             ok = false;
             break;

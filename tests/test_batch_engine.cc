@@ -77,8 +77,7 @@ std::vector<SimdBackend>
 runnableBackends()
 {
     std::vector<SimdBackend> v;
-    for (SimdBackend b :
-         {SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Neon})
+    for (SimdBackend b : {SimdBackend::Scalar, SimdBackend::Avx2})
         if (simdBackendSupported(b))
             v.push_back(b);
     return v;

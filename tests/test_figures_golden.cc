@@ -2,7 +2,7 @@
  * @file
  * Golden-figure regression tests: the envelope data of cheap
  * exhibits (fig03 single-level, fig05 two-level, and the exclusive
- * two-level figures 22–24 that are the paper's contribution),
+ * two-level figures 22–26 that are the paper's contribution),
  * computed on a small synthetic workload, is pinned against
  * checked-in golden files under tests/golden/. Future performance
  * work — parallelism, cache-layout changes, memoization rewrites —
@@ -174,4 +174,28 @@ TEST(GoldenFigures, Fig24ExclusiveFourWayEspressoEnvelope)
 {
     checkGolden("fig24", Benchmark::Espresso, /*two_level=*/true,
                 "fig24_espresso.txt");
+}
+
+TEST(GoldenFigures, Fig25ExclusiveFourWayFppppEnvelope)
+{
+    checkGolden("fig25", Benchmark::Fpppp, /*two_level=*/true,
+                "fig25_fpppp.txt");
+}
+
+TEST(GoldenFigures, Fig25ExclusiveFourWayLiEnvelope)
+{
+    checkGolden("fig25", Benchmark::Li, /*two_level=*/true,
+                "fig25_li.txt");
+}
+
+TEST(GoldenFigures, Fig26ExclusiveFourWayEqntottEnvelope)
+{
+    checkGolden("fig26", Benchmark::Eqntott, /*two_level=*/true,
+                "fig26_eqntott.txt");
+}
+
+TEST(GoldenFigures, Fig26ExclusiveFourWayTomcatvEnvelope)
+{
+    checkGolden("fig26", Benchmark::Tomcatv, /*two_level=*/true,
+                "fig26_tomcatv.txt");
 }

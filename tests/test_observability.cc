@@ -389,18 +389,19 @@ TEST(Progress, FinalUpdateAlwaysFiresWithDoneEqualTotal)
     Explorer ex(ev);
     std::atomic<std::size_t> fires{0};
     std::atomic<std::size_t> last_done{0}, last_total{0};
-    ex.setProgressCallback(
-        [&](const SweepProgress &p) {
-            fires.fetch_add(1);
-            last_done.store(p.done);
-            last_total.store(p.total);
-            EXPECT_LE(p.done, p.total);
-            EXPECT_GE(p.elapsedSeconds, 0.0);
-            EXPECT_GE(p.etaSeconds, 0.0);
-        },
-        /*min_interval_seconds=*/0.0);
-    SystemAssumptions a;
-    auto points = ex.sweep(Benchmark::Gcc1, a, true, false);
+    SweepRequest req;
+    req.configs = DesignSpace::enumerate(SystemAssumptions{}, true, false);
+    req.benchmarks = {Benchmark::Gcc1};
+    req.progress = [&](const SweepProgress &p) {
+        fires.fetch_add(1);
+        last_done.store(p.done);
+        last_total.store(p.total);
+        EXPECT_LE(p.done, p.total);
+        EXPECT_GE(p.elapsedSeconds, 0.0);
+        EXPECT_GE(p.etaSeconds, 0.0);
+    };
+    req.progressIntervalSeconds = 0.0;
+    auto points = ex.evaluateAll(req).front().points;
     EXPECT_FALSE(points.empty());
     EXPECT_GE(fires.load(), 1u);
     EXPECT_EQ(last_done.load(), points.size());
@@ -409,15 +410,22 @@ TEST(Progress, FinalUpdateAlwaysFiresWithDoneEqualTotal)
 
 TEST(Progress, UninstalledCallbackIsQuiet)
 {
+    // A request's callback is scoped to that request: a later sweep
+    // on the same explorer reports to nobody.
     MissRateEvaluator ev(2000);
     Explorer ex(ev);
     std::atomic<std::size_t> fires{0};
-    ex.setProgressCallback(
-        [&](const SweepProgress &) { fires.fetch_add(1); }, 0.0);
-    ex.setProgressCallback(nullptr);
+    SweepRequest req;
+    req.configs = DesignSpace::enumerate(SystemAssumptions{}, true, false);
+    req.benchmarks = {Benchmark::Gcc1};
+    req.progress = [&](const SweepProgress &) { fires.fetch_add(1); };
+    req.progressIntervalSeconds = 0.0;
+    ex.evaluateAll(req);
+    const std::size_t afterRequest = fires.load();
+    EXPECT_GE(afterRequest, 1u);
     SystemAssumptions a;
     ex.sweep(Benchmark::Gcc1, a, true, false);
-    EXPECT_EQ(fires.load(), 0u);
+    EXPECT_EQ(fires.load(), afterRequest);
 }
 
 TEST(Progress, SweepSlicesLandOnTheActiveRecorder)

@@ -30,7 +30,7 @@ struct BackendGuard
 std::vector<SimdBackend>
 allBackends()
 {
-    return {SimdBackend::Scalar, SimdBackend::Avx2, SimdBackend::Neon};
+    return {SimdBackend::Scalar, SimdBackend::Avx2};
 }
 
 } // namespace
@@ -39,7 +39,6 @@ TEST(SimdDispatch, BackendNamesAreStable)
 {
     EXPECT_STREQ(simdBackendName(SimdBackend::Scalar), "scalar");
     EXPECT_STREQ(simdBackendName(SimdBackend::Avx2), "avx2");
-    EXPECT_STREQ(simdBackendName(SimdBackend::Neon), "neon");
 }
 
 TEST(SimdDispatch, ScalarIsAlwaysCompiledAndSupported)
@@ -65,15 +64,13 @@ TEST(SimdDispatch, CpuidDetectionIsSupportedAndConsistent)
     SimdBackend detected = detectSimdBackend();
     EXPECT_TRUE(simdBackendSupported(detected));
 #if defined(__x86_64__) || defined(__i386__)
-    EXPECT_NE(detected, SimdBackend::Neon);
     if (simdBackendCompiled(SimdBackend::Avx2) &&
         __builtin_cpu_supports("avx2"))
         EXPECT_EQ(detected, SimdBackend::Avx2);
     else
         EXPECT_EQ(detected, SimdBackend::Scalar);
-#elif defined(__aarch64__)
-    // NEON is architectural on aarch64.
-    EXPECT_EQ(detected, SimdBackend::Neon);
+#else
+    EXPECT_EQ(detected, SimdBackend::Scalar);
 #endif
 }
 
@@ -83,15 +80,13 @@ TEST(SimdDispatch, ParseAcceptsKnownNamesAndNative)
     EXPECT_EQ(parseSimdBackend("scalar").value(), SimdBackend::Scalar);
     ASSERT_TRUE(parseSimdBackend("avx2").ok());
     EXPECT_EQ(parseSimdBackend("avx2").value(), SimdBackend::Avx2);
-    ASSERT_TRUE(parseSimdBackend("neon").ok());
-    EXPECT_EQ(parseSimdBackend("neon").value(), SimdBackend::Neon);
     ASSERT_TRUE(parseSimdBackend("native").ok());
     EXPECT_EQ(parseSimdBackend("native").value(), detectSimdBackend());
 }
 
 TEST(SimdDispatch, ParseRejectsUnknownNames)
 {
-    for (const char *bad : {"", "AVX2", "sse", "auto", "scalar "}) {
+    for (const char *bad : {"", "AVX2", "sse", "neon", "auto", "scalar "}) {
         Expected<SimdBackend> r = parseSimdBackend(bad);
         ASSERT_FALSE(r.ok()) << "'" << bad << "'";
         EXPECT_EQ(r.status().code(), StatusCode::InvalidConfig);
@@ -163,10 +158,6 @@ TEST(SimdDispatch, LaneKernelsExistForEverySupportedBackend)
     if (simdBackendSupported(SimdBackend::Avx2)) {
         EXPECT_NE(lanes::laneKernelsFor(SimdBackend::Scalar).runShared,
                   lanes::laneKernelsFor(SimdBackend::Avx2).runShared);
-    }
-    if (simdBackendSupported(SimdBackend::Neon)) {
-        EXPECT_NE(lanes::laneKernelsFor(SimdBackend::Scalar).runShared,
-                  lanes::laneKernelsFor(SimdBackend::Neon).runShared);
     }
 }
 

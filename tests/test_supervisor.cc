@@ -309,6 +309,43 @@ TEST(ShardRunner, CleanSupervisedSweepMatchesInProcess)
     EXPECT_EQ(sup.stats.shards, (grid.size() + 15) / 16);
 }
 
+TEST(ShardRunner, MissingTraceFileIsOneBenchmarkEntryLikeInProcess)
+{
+    // Every worker of every shard fails to load the trace. The
+    // shared collection loop must fold those per-point failures
+    // into the single "benchmark <name>" entry the in-process
+    // preflight records, with the same code and message.
+    const auto grid = makeGrid();
+    EvaluatorOptions evopts;
+    evopts.traceRefs = kRefs;
+    evopts.traceFiles[Benchmark::Gcc1] = tempPath("tlc_missing.trace");
+
+    MissRateEvaluator inEv(evopts);
+    Explorer inEx(inEv);
+    FailureReport inReport;
+    EXPECT_TRUE(inEx.evaluateAll(Benchmark::Gcc1, grid, &inReport).empty());
+
+    SupervisorOptions opts = testOptions();
+    opts.evaluator = evopts;
+    MissRateEvaluator supEv(evopts);
+    Explorer supEx(supEv);
+    FailureReport supReport;
+    SupervisedSweep ss = supervisedEvaluateAll(supEx, Benchmark::Gcc1,
+                                               grid, &supReport, opts);
+    EXPECT_TRUE(ss.points.empty());
+    EXPECT_GT(ss.stats.shards, 1u);
+    EXPECT_EQ(ss.stats.quarantined, 0u);
+
+    const auto want = inReport.failures();
+    const auto got = supReport.failures();
+    ASSERT_EQ(want.size(), 1u);
+    ASSERT_EQ(got.size(), 1u);
+    EXPECT_EQ(got[0].subject, "benchmark gcc1");
+    EXPECT_EQ(got[0].subject, want[0].subject);
+    EXPECT_EQ(got[0].status.code(), want[0].status.code());
+    EXPECT_EQ(got[0].status.message(), want[0].status.message());
+}
+
 TEST(ShardRunner, PermanentCrashQuarantinesExactlyThatPoint)
 {
     const auto grid = makeGrid();

@@ -15,10 +15,11 @@
 #   tools/check.sh --tier=tsan      # parallel suites under TSan
 #   tools/check.sh --tier=smoke     # bench/example smoke runs, the
 #                                   # observability and result-store
-#                                   # round trips, and the benchmark
+#                                   # round trips, the figure_runner
+#                                   # recovery drill, and the benchmark
 #                                   # regression gate (bench_compare.py)
 #   tools/check.sh --simd=BACKEND   # force the lane-kernel backend
-#                                   # (scalar|avx2|neon|native) for
+#                                   # (scalar|avx2|native) for
 #                                   # every test and bench in the tier
 #                                   # by exporting TLC_SIMD; a pre-set
 #                                   # TLC_SIMD in the environment is
@@ -34,7 +35,7 @@
 set -e
 cd "$(dirname "$0")/.."
 
-usage="usage: tools/check.sh [--tier=fast|asan|tsan|smoke|full] [--simd=scalar|avx2|neon|native] [--artifacts=DIR]"
+usage="usage: tools/check.sh [--tier=fast|asan|tsan|smoke|full] [--simd=scalar|avx2|native] [--artifacts=DIR]"
 tier=full
 simd=
 artifacts=
@@ -63,7 +64,7 @@ esac
 # TLC_SIMD reaches every ctest case, drill, and bench below (the
 # runtime resolves it in activeSimdBackend, util/simd.hh).
 case "$simd" in
-  ""|scalar|avx2|neon|native) ;;
+  ""|scalar|avx2|native) ;;
   *)
     echo "check.sh: unknown --simd backend '$simd'" >&2
     echo "$usage" >&2
@@ -313,6 +314,24 @@ run_smoke() {
         cp "$iso_dir/manifest.json" "$artifacts/manifest.json"
     fi
     rm -rf "$iso_dir"
+
+    # figure_runner shares design_explorer's driver-side sweep call
+    # (whose drills run in the fast tier); an exclusive-caching
+    # figure must print the same bytes in process, isolated, and
+    # isolated with a worker that crashes once.
+    echo "== smoke-running figure_runner recovery drill =="
+    fig_dir=$(mktemp -d)
+    fig="build/examples/figure_runner --figure=fig23 --csv --refs=50000"
+    $fig --quiet > "$fig_dir/inproc.csv"
+    for iso in "" "--inject-crash-at=12 --inject-times=1"; do
+        $fig --quiet --isolate=process $iso > "$fig_dir/isolate.csv"
+        cmp "$fig_dir/inproc.csv" "$fig_dir/isolate.csv" || {
+            echo "figure_runner --isolate=process $iso differs" \
+                 "from in-process" >&2
+            exit 1
+        }
+    done
+    rm -rf "$fig_dir"
 
     # The simulation-trace container round trip: trace_tool writes
     # the version-3 delta/zigzag format with a CRC-32 footer over the
