@@ -5,6 +5,7 @@
 
 #include "hierarchy.hh"
 
+#include "util/bytes.hh"
 #include "util/metrics.hh"
 
 namespace tlc {
@@ -63,6 +64,24 @@ HierarchyStats::operator+=(const HierarchyStats &o)
     swaps += o.swaps;
     offchipWritebacks += o.offchipWritebacks;
     return *this;
+}
+
+void
+putHierarchyStats(std::string &out, const HierarchyStats &s)
+{
+    for (std::uint64_t v :
+         {s.instrRefs, s.dataRefs, s.l1iMisses, s.l1dMisses, s.l2Hits,
+          s.l2Misses, s.swaps, s.offchipWritebacks})
+        putU64le(out, v);
+}
+
+bool
+readHierarchyStats(ByteReader &r, HierarchyStats &out)
+{
+    return r.u64(out.instrRefs) && r.u64(out.dataRefs) &&
+        r.u64(out.l1iMisses) && r.u64(out.l1dMisses) &&
+        r.u64(out.l2Hits) && r.u64(out.l2Misses) && r.u64(out.swaps) &&
+        r.u64(out.offchipWritebacks);
 }
 
 void

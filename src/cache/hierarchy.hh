@@ -7,6 +7,7 @@
 #define TLC_CACHE_HIERARCHY_HH
 
 #include <cstdint>
+#include <string>
 
 #include "trace/buffer.hh"
 #include "trace/record.hh"
@@ -59,6 +60,18 @@ struct HierarchyStats
 
     HierarchyStats &operator+=(const HierarchyStats &o);
 };
+
+class ByteReader;
+
+/**
+ * The one byte layout of a HierarchyStats: its eight fields as u64le,
+ * in declaration order (util/bytes.hh). Result-store payloads and the
+ * isolated-worker wire format both embed it.
+ */
+void putHierarchyStats(std::string &out, const HierarchyStats &s);
+
+/** Read putHierarchyStats' layout; false when the bytes run out. */
+bool readHierarchyStats(ByteReader &r, HierarchyStats &out);
 
 /**
  * Fold one finished simulation's counts into the global metrics

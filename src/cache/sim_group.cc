@@ -85,19 +85,23 @@ SimGroup::addTwoLevel(const CacheParams &l1_params,
     // flat flavours share or re-stride state in ways that are only
     // equivalent to a solo run when the lane starts cold.
     bool flat = l1_params.ways() == 1 &&
-                policy != TwoLevelPolicy::Exclusive &&
                 l1_params.lineBytes == l2_params.lineBytes && !accessed_;
-    if (flat && policy == TwoLevelPolicy::Inclusive) {
-        // Non-strict inclusion: the L2 never writes back into L1
-        // state, so lanes sharing an L1 geometry share one simulated
-        // L1 and fan out over the recorded miss stream.
+    if (flat && policy != TwoLevelPolicy::StrictInclusive) {
+        // Neither non-strict inclusion nor exclusion ever writes L2
+        // state back into the L1 (an exclusive swap refills the L1
+        // exactly as an inclusive miss does), so lanes sharing an L1
+        // geometry share one simulated L1 and fan out over the
+        // recorded miss stream.
         lanes::SharedL1Group &g = sharedGroupFor(l1_params);
-        g.subs.emplace_back(l2_params, seed + 2);
+        bool exclusive = policy == TwoLevelPolicy::Exclusive;
+        std::vector<lanes::SharedL1Group::Sub> &subs =
+            exclusive ? g.exclusiveSubs : g.subs;
+        subs.emplace_back(l2_params, seed + 2);
         std::uint32_t group =
             static_cast<std::uint32_t>(&g - sharedGroups_.data());
         lanes_.push_back(
-            {LaneKind::SharedSub, group,
-             static_cast<std::uint32_t>(g.subs.size() - 1)});
+            {exclusive ? LaneKind::SharedExclusive : LaneKind::SharedSub,
+             group, static_cast<std::uint32_t>(subs.size() - 1)});
     } else if (flat) {
         // Strict inclusion back-invalidates L1 lines, so each lane
         // keeps a private L1 — interleaved with its same-geometry
@@ -169,6 +173,8 @@ SimGroup::resetStats()
         group.singleStats = HierarchyStats{};
         for (lanes::SharedL1Group::Sub &s : group.subs)
             s.stats = HierarchyStats{};
+        for (lanes::SharedL1Group::Sub &s : group.exclusiveSubs)
+            s.stats = HierarchyStats{};
     }
     for (lanes::StrictLaneBlock &blk : strictBlocks_) {
         for (HierarchyStats &s : blk.stats)
@@ -188,6 +194,8 @@ SimGroup::stats(std::size_t lane) const
         return sharedGroups_[ref.index].singleStats;
       case LaneKind::SharedSub:
         return sharedGroups_[ref.index].subs[ref.sub].stats;
+      case LaneKind::SharedExclusive:
+        return sharedGroups_[ref.index].exclusiveSubs[ref.sub].stats;
       case LaneKind::Strict:
         return strictBlocks_[ref.index].stats[ref.sub];
       case LaneKind::Generic:

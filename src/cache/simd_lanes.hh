@@ -8,18 +8,24 @@
  * arranged structure-of-arrays so the kernels can vectorize:
  *
  *  - SharedL1Group: every lane sharing one direct-mapped L1 geometry
- *    — plain-inclusive two-level lanes AND L1-only lanes — walks the
- *    trace through ONE simulated L1. L1-only members are bit-identical
- *    to each other (a direct-mapped cache has no replacement state),
- *    so they share a single stats block. Two-level members differ only
- *    below the L1, so the kernel records each L1 miss once (address,
- *    victim address, victim-dirty) in a miss queue and replays the
- *    queue per member L2, sub-major: each L2's tag state stays hot
- *    across a whole block of misses instead of being re-fetched per
- *    record, and the replay loop is where the vectorized L2 tag
- *    compare runs. Replaying in record order per sub keeps every
- *    member's operation (and RNG draw) sequence identical to a solo
- *    run — subs are independent, so inter-sub order is unobservable.
+ *    — plain-inclusive and exclusive two-level lanes AND L1-only
+ *    lanes — walks the trace through ONE simulated L1. L1-only
+ *    members are bit-identical to each other (a direct-mapped cache
+ *    has no replacement state), so they share a single stats block.
+ *    Two-level members differ only below the L1: neither policy ever
+ *    moves L2 state into the L1 (an exclusive swap refills the L1
+ *    with dirty = is_store, and the L2 copy keeps its own dirty bit),
+ *    so the L1's contents are a pure function of the trace. The
+ *    kernel records each L1 miss once (line, victim line, victim
+ *    valid/dirty flags) in a miss queue and replays the queue per
+ *    member L2, sub-major: each L2's tag state stays hot across a
+ *    whole block of misses instead of being re-fetched per record,
+ *    and the replay loop is where the vectorized L2 tag compare
+ *    runs. Inclusive and exclusive members sit in separate lists,
+ *    each replayed by its own instantiation of the loop. Replaying
+ *    in record order per sub keeps every member's operation (and
+ *    RNG draw) sequence identical to a solo run — subs are
+ *    independent, so inter-sub order is unobservable.
  *
  *  - StrictLaneBlock: strict-inclusive lanes back-invalidate their L1
  *    on L2 eviction, so each needs a *private* L1 — but lanes with the
@@ -270,15 +276,17 @@ struct L1Miss
      *  the walk shifts once and the replay never shifts at all. */
     std::uint32_t line = 0;       ///< the missing reference's line
     std::uint32_t victimLine = 0; ///< evicted L1 line
-    std::uint32_t victimDirty = 0;
+    /** kValid | kDirty of the evicted tag word: exclusive members
+     *  also move clean victims into their L2. */
+    std::uint32_t victimFlags = 0;
 };
 
 /**
  * All lanes sharing one direct-mapped L1 geometry whose L2 side (if
- * any) never reaches back into the L1: plain-inclusive two-level
- * lanes as subs, L1-only lanes as a shared member count. The L1 tag
- * state is split-interleaved ([set*2] = I, [set*2+1] = D) exactly as
- * the solo hierarchies see it.
+ * any) never reaches back into the L1: plain-inclusive and exclusive
+ * two-level lanes as subs, L1-only lanes as a shared member count.
+ * The L1 tag state is split-interleaved ([set*2] = I, [set*2+1] = D)
+ * exactly as the solo hierarchies see it.
  */
 struct SharedL1Group
 {
@@ -287,7 +295,7 @@ struct SharedL1Group
     std::uint32_t setMask = 0;
     TagVector l1Entries;
 
-    /** One plain-inclusive two-level member: a private L2 + stats. */
+    /** One two-level member: a private L2 + stats. */
     struct Sub
     {
         FlatCache l2;
@@ -298,7 +306,8 @@ struct SharedL1Group
         {
         }
     };
-    std::vector<Sub> subs;
+    std::vector<Sub> subs;          ///< plain-inclusive members
+    std::vector<Sub> exclusiveSubs; ///< exclusive members
 
     /**
      * L1-only members. Same geometry + no replacement state means

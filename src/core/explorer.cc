@@ -56,6 +56,61 @@ struct ExploreMetrics
  */
 constexpr std::size_t kMaxBatchConfigs = 32;
 
+/** Do @p a and @p b share one simulated L1 when batched together? */
+bool
+sameL1(const SystemConfig &a, const SystemConfig &b)
+{
+    return a.l1Bytes == b.l1Bytes &&
+        a.assume.lineBytes == b.assume.lineBytes &&
+        a.assume.l1Assoc == b.assume.l1Assoc;
+}
+
+/**
+ * Contiguous batches for a sweep over @p configs on @p workers
+ * workers: batch i is [bounds[i], bounds[i + 1]).
+ *
+ * A batch's cost is one L1 walk per distinct L1 geometry plus, per
+ * two-level lane, a replay of that L1's misses, so a small L1 with
+ * many L2 sizes behind it costs several times a large one. One
+ * equal-count batch per worker therefore left a third of a
+ * design-space sweep on one worker while the rest sat idle, and the
+ * sweep's wall clock rode on that one worker's share of the host.
+ * Instead each run of consecutive configs sharing an L1 is a batch,
+ * cut into near-equal pieces when it holds more than half a
+ * worker's share (the only L1 walks repeated). The team pulls
+ * batches in order, so the costly small-L1 batches of a design-space
+ * sweep start first and the cheap ones fill in behind them.
+ *
+ * One worker has nothing to balance and keeps kMaxBatchConfigs-sized
+ * chunks, the split a supervised sweep gives its forked shards by
+ * default (SupervisorOptions::pointsPerShard), so the two do
+ * identical simulation work.
+ */
+std::vector<std::size_t>
+batchBounds(const std::vector<SystemConfig> &configs, std::size_t workers)
+{
+    const std::size_t n = configs.size();
+    std::vector<std::size_t> bounds{0};
+    if (workers <= 1) {
+        for (std::size_t lo = 0; lo < n; lo += kMaxBatchConfigs)
+            bounds.push_back(std::min(lo + kMaxBatchConfigs, n));
+        return bounds;
+    }
+    const std::size_t cap = std::clamp<std::size_t>(
+        (n + 2 * workers - 1) / (2 * workers), 1, kMaxBatchConfigs);
+    for (std::size_t lo = 0; lo < n;) {
+        std::size_t hi = lo + 1;
+        while (hi < n && sameL1(configs[hi], configs[lo]))
+            ++hi;
+        const std::size_t run = hi - lo;
+        const std::size_t pieces = (run + cap - 1) / cap;
+        for (std::size_t k = 1; k <= pieces; ++k)
+            bounds.push_back(lo + run * k / pieces);
+        lo = hi;
+    }
+    return bounds;
+}
+
 /** A failure of one design point itself, as opposed to its
  *  benchmark's trace (which fails every point the same way). */
 bool
@@ -393,27 +448,26 @@ Explorer::sweepBatches(Benchmark b, const std::vector<SystemConfig> &configs,
     };
 
     // Benchmark-major batching: the configuration list is split into
-    // contiguous batches, each batch's memo-missing configs simulate
-    // as lanes of one trace pass, and batches distribute across the
-    // worker team. Batch shape cannot affect results — every lane
-    // carries its own tag state and replacement RNG stream, exactly
-    // as a standalone Hierarchy would — so the sweep stays
-    // byte-identical to the point-major path whatever the worker
-    // count. Each index writes only its own slots; collecting
-    // results and failures after the join, in input-index order,
-    // keeps the output deterministic. A BatchStats source slots in
-    // for the simulation and leaves everything else — batching,
-    // pricing in the worker team, collection — exactly as it is.
+    // contiguous batches (batchBounds), each batch's memo-missing
+    // configs simulate as lanes of one trace pass, and batches
+    // distribute across the worker team. Batch shape cannot affect
+    // results — every lane carries its own tag state and replacement
+    // RNG stream, exactly as a standalone Hierarchy would — so the
+    // sweep stays byte-identical to the point-major path whatever
+    // the worker count. Each index writes only its own slots;
+    // collecting results and failures after the join, in input-index
+    // order, keeps the output deterministic. A BatchStats source
+    // slots in for the simulation and leaves everything else —
+    // batching, pricing in the worker team, collection — exactly as
+    // it is.
     const std::size_t n = configs.size();
-    std::size_t batchSize = (n + parallelWorkerCount() - 1) /
-                            parallelWorkerCount();
-    batchSize = std::clamp<std::size_t>(batchSize, 1, kMaxBatchConfigs);
-    const std::size_t numBatches = (n + batchSize - 1) / batchSize;
+    const std::vector<std::size_t> bounds =
+        batchBounds(configs, parallelWorkerCount());
 
     std::vector<std::optional<Expected<DesignPoint>>> slots(n);
-    parallelFor(numBatches, [&](std::size_t bi) {
-        const std::size_t lo = bi * batchSize;
-        const std::size_t hi = std::min(lo + batchSize, n);
+    parallelFor(bounds.size() - 1, [&](std::size_t bi) {
+        const std::size_t lo = bounds[bi];
+        const std::size_t hi = bounds[bi + 1];
         std::vector<Expected<HierarchyStats>> miss;
         if (stats) {
             miss = stats(lo, hi);

@@ -80,7 +80,7 @@ std::atomic<std::uint32_t> gWorkerSerial{0};
 // Wire format (payloads of util/supervisor.hh frames)
 //
 // Result frame: u8 tag=1, u32le global config index, u8 ok;
-//   ok   -> the eight HierarchyStats fields, u64le, declaration order
+//   ok   -> the HierarchyStats layout (putHierarchyStats)
 //   fail -> u32le StatusCode, u32le message length, message bytes
 // Done frame:   u8 tag=2, u32le result-frame count
 //
@@ -116,15 +116,7 @@ encodeResult(std::uint32_t index, const Expected<HierarchyStats> &r)
     putU32le(out, index);
     out.push_back(static_cast<char>(r.ok() ? 1 : 0));
     if (r.ok()) {
-        const HierarchyStats &s = r.value();
-        putU64le(out, s.instrRefs);
-        putU64le(out, s.dataRefs);
-        putU64le(out, s.l1iMisses);
-        putU64le(out, s.l1dMisses);
-        putU64le(out, s.l2Hits);
-        putU64le(out, s.l2Misses);
-        putU64le(out, s.swaps);
-        putU64le(out, s.offchipWritebacks);
+        putHierarchyStats(out, r.value());
     } else {
         putU32le(out, static_cast<std::uint32_t>(r.status().code()));
         putString(out, r.status().message());
@@ -169,10 +161,7 @@ decodeResult(std::string_view payload, WireResult &out)
         return false;
     if (ok) {
         HierarchyStats s;
-        if (!r.u64(s.instrRefs) || !r.u64(s.dataRefs) ||
-            !r.u64(s.l1iMisses) || !r.u64(s.l1dMisses) ||
-            !r.u64(s.l2Hits) || !r.u64(s.l2Misses) || !r.u64(s.swaps) ||
-            !r.u64(s.offchipWritebacks) || !r.done())
+        if (!readHierarchyStats(r, s) || !r.done())
             return false;
         out.result.emplace(s);
         return true;

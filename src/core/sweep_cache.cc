@@ -44,7 +44,7 @@ constexpr const char *kPhaseSweepCache = "sweep.cache";
 
 /**
  * Payload layout: u64 key-text length, the key text (collision and
- * schema guard), then the eight stats fields in declaration order.
+ * schema guard), then the stats in putHierarchyStats' layout.
  */
 std::string
 serializeStats(const std::string &key_text, const HierarchyStats &s)
@@ -53,14 +53,7 @@ serializeStats(const std::string &key_text, const HierarchyStats &s)
     out.reserve(8 + key_text.size() + 8 * 8);
     putU64le(out, key_text.size());
     out.append(key_text);
-    putU64le(out, s.instrRefs);
-    putU64le(out, s.dataRefs);
-    putU64le(out, s.l1iMisses);
-    putU64le(out, s.l1dMisses);
-    putU64le(out, s.l2Hits);
-    putU64le(out, s.l2Misses);
-    putU64le(out, s.swaps);
-    putU64le(out, s.offchipWritebacks);
+    putHierarchyStats(out, s);
     return out;
 }
 
@@ -68,27 +61,13 @@ bool
 deserializeStats(const std::string &payload, const std::string &key_text,
                  HierarchyStats &out)
 {
-    if (payload.size() < 8)
+    ByteReader r(payload);
+    std::uint64_t textLen = 0;
+    if (!r.u64(textLen) || textLen != key_text.size() ||
+        payload.compare(8, textLen, key_text) != 0)
         return false;
-    const unsigned char *p =
-        reinterpret_cast<const unsigned char *>(payload.data());
-    std::uint64_t textLen = loadU64le(p);
-    if (textLen != key_text.size() ||
-        payload.size() != 8 + textLen + 8 * 8) {
-        return false;
-    }
-    if (payload.compare(8, textLen, key_text) != 0)
-        return false;
-    p += 8 + textLen;
-    out.instrRefs = loadU64le(p + 0 * 8);
-    out.dataRefs = loadU64le(p + 1 * 8);
-    out.l1iMisses = loadU64le(p + 2 * 8);
-    out.l1dMisses = loadU64le(p + 3 * 8);
-    out.l2Hits = loadU64le(p + 4 * 8);
-    out.l2Misses = loadU64le(p + 5 * 8);
-    out.swaps = loadU64le(p + 6 * 8);
-    out.offchipWritebacks = loadU64le(p + 7 * 8);
-    return true;
+    ByteReader stats(payload, 8 + textLen);
+    return readHierarchyStats(stats, out) && stats.done();
 }
 
 } // namespace

@@ -168,7 +168,7 @@ TEST(SimGroupDifferential, FlatTwoLevelMatchesHierarchy)
     }
 }
 
-TEST(SimGroupDifferential, ExclusiveTakesGenericPathAndMatches)
+TEST(SimGroupDifferential, ExclusiveSharesL1WalkAndMatches)
 {
     CacheParams l1;
     l1.sizeBytes = 2_KiB;
@@ -178,7 +178,7 @@ TEST(SimGroupDifferential, ExclusiveTakesGenericPathAndMatches)
     SimGroup group;
     std::size_t lane =
         group.addTwoLevel(l1, l2, TwoLevelPolicy::Exclusive);
-    EXPECT_FALSE(group.laneIsFlat(lane));
+    EXPECT_TRUE(group.laneIsFlat(lane));
     BatchEngine::run(sharedTrace(), kWarmup, group);
     expectSameStats(group.stats(lane),
                     solo<TwoLevelHierarchy>(kWarmup, l1, l2,
@@ -417,6 +417,89 @@ TEST(SimdBackendDifferential, VectorBackendsMatchScalarByteForByte)
     }
 }
 
+TEST(SimdBackendDifferential, ExclusiveLanesMatchSoloAcrossL2Shapes)
+{
+    // Exclusive members replay their shared L1's miss queue through
+    // their own L2s. Every L2 associativity (8 ways is past the FSM
+    // tables, so it exercises the stamp fallback) under every
+    // replacement policy, mixed with inclusive subs in one group, must
+    // match a solo TwoLevelHierarchy at each warmup edge. Beyond the
+    // 32 KiB grid over a 4 KiB L1:
+    //  - the 16 KiB 4-way, 4 KiB direct-mapped and 4 KiB 8-way L2s
+    //    have no more sets than the L1 has lines, so every swap takes
+    //    the same-set path;
+    //  - the 1 KiB L2 is the y < x case, where exclusion degenerates
+    //    into a victim cache;
+    //  - the 16 KiB 8-way L2s under a 1 KiB L1 (a second shared
+    //    group) fill their sets while hits still land outside the
+    //    victim's set, so LRU touches and stamp-picked victims show.
+    struct Shape
+    {
+        std::uint64_t l1Bytes;
+        std::uint64_t l2Bytes;
+        std::uint32_t l2Assoc;
+        ReplPolicy repl;
+        TwoLevelPolicy policy;
+        bool sameSet = false; ///< every L1 victim maps to the hit's set
+    };
+    constexpr TwoLevelPolicy kExcl = TwoLevelPolicy::Exclusive;
+    std::vector<Shape> shapes;
+    for (ReplPolicy repl :
+         {ReplPolicy::Random, ReplPolicy::LRU, ReplPolicy::FIFO}) {
+        for (std::uint32_t assoc : {1u, 2u, 4u, 8u}) {
+            shapes.push_back({4_KiB, 32_KiB, assoc, repl, kExcl});
+            shapes.push_back(
+                {4_KiB, 32_KiB, assoc, repl, TwoLevelPolicy::Inclusive});
+        }
+        shapes.push_back({4_KiB, 16_KiB, 4, repl, kExcl, true});
+        shapes.push_back({4_KiB, 4_KiB, 8, repl, kExcl, true});
+        shapes.push_back({4_KiB, 1_KiB, 2, repl, kExcl, true});
+        shapes.push_back({1_KiB, 16_KiB, 8, repl, kExcl});
+    }
+    shapes.push_back({4_KiB, 4_KiB, 1, ReplPolicy::Random, kExcl, true});
+
+    auto l1For = [](const Shape &s) {
+        CacheParams l1;
+        l1.sizeBytes = s.l1Bytes;
+        return l1;
+    };
+    auto l2For = [](const Shape &s) {
+        CacheParams l2;
+        l2.sizeBytes = s.l2Bytes;
+        l2.assoc = s.l2Assoc;
+        l2.repl = s.repl;
+        return l2;
+    };
+    for (std::uint64_t warmup : {std::uint64_t(0), kWarmup, kRefs / 2}) {
+        SCOPED_TRACE("warmup " + std::to_string(warmup));
+        std::vector<HierarchyStats> refs;
+        for (const Shape &s : shapes) {
+            refs.push_back(solo<TwoLevelHierarchy>(warmup, l1For(s),
+                                                   l2For(s), s.policy));
+            if (s.sameSet) {
+                // The grid really takes the swap path: every hit swaps.
+                EXPECT_GT(refs.back().swaps, 0u);
+                EXPECT_EQ(refs.back().swaps, refs.back().l2Hits);
+            }
+        }
+        for (SimdBackend backend : runnableBackends()) {
+            SCOPED_TRACE(simdBackendName(backend));
+            BackendGuard guard(backend);
+            SimGroup group;
+            for (const Shape &s : shapes) {
+                std::size_t lane =
+                    group.addTwoLevel(l1For(s), l2For(s), s.policy);
+                EXPECT_TRUE(group.laneIsFlat(lane));
+            }
+            BatchEngine::run(sharedTrace(), warmup, group);
+            for (std::size_t i = 0; i < shapes.size(); ++i) {
+                SCOPED_TRACE("lane " + std::to_string(i));
+                expectSameStats(group.stats(i), refs[i]);
+            }
+        }
+    }
+}
+
 TEST(BatchEngine, SimulateConfigsReportsLaneSplit)
 {
     std::vector<SystemConfig> configs(3);
@@ -430,8 +513,8 @@ TEST(BatchEngine, SimulateConfigsReportsLaneSplit)
     BatchEngine::Result r =
         BatchEngine::simulateConfigs(sharedTrace(), kWarmup, configs);
     ASSERT_EQ(r.stats.size(), 3u);
-    EXPECT_EQ(r.flatLanes, 2u);
-    EXPECT_EQ(r.genericLanes, 1u);
+    EXPECT_EQ(r.flatLanes, 3u);
+    EXPECT_EQ(r.genericLanes, 0u);
     for (const HierarchyStats &s : r.stats)
         EXPECT_EQ(s.totalRefs(), kRefs - kWarmup);
 }

@@ -10,6 +10,7 @@
 
 #include <list>
 #include <map>
+#include <memory>
 #include <vector>
 
 #include "cache/single_level.hh"
@@ -183,6 +184,43 @@ TEST(Differential, L1MissesIndependentOfL2Policy)
     // never removes any.
     EXPECT_GE(strict.l1iMisses, inc.l1iMisses);
     EXPECT_GE(strict.l1dMisses, inc.l1dMisses);
+}
+
+// The stronger form the shared-L1 lane kernels rest on: neither
+// non-strict policy moves L2 state into the L1, so after any trace
+// both L1 arrays hold exactly the same lines under Inclusive and
+// Exclusive, whatever the L2's shape (including one smaller than the
+// L1, and one whose sets equal the L1's lines).
+TEST(Differential, L1StateIndependentOfL2Policy)
+{
+    TraceBuffer t = Workloads::generate(Benchmark::Gcc1, 60000);
+    struct L2Shape
+    {
+        std::uint64_t size;
+        std::uint32_t assoc;
+        ReplPolicy repl;
+    };
+    for (const L2Shape &l2 : {L2Shape{16384, 4, ReplPolicy::Random},
+                              L2Shape{32768, 8, ReplPolicy::LRU},
+                              L2Shape{4096, 1, ReplPolicy::Random},
+                              L2Shape{1024, 2, ReplPolicy::FIFO}}) {
+        SCOPED_TRACE(std::to_string(l2.size) + "B x" +
+                     std::to_string(l2.assoc));
+        auto run = [&](TwoLevelPolicy pol) {
+            auto h = std::make_unique<TwoLevelHierarchy>(
+                params(4096, 1, ReplPolicy::Random),
+                params(l2.size, l2.assoc, l2.repl), pol);
+            h->simulate(t);
+            return h;
+        };
+        auto inc = run(TwoLevelPolicy::Inclusive);
+        auto excl = run(TwoLevelPolicy::Exclusive);
+        EXPECT_GT(excl->stats().l2Hits, 0u);
+        EXPECT_EQ(inc->icache().residentLineAddrs(),
+                  excl->icache().residentLineAddrs());
+        EXPECT_EQ(inc->dcache().residentLineAddrs(),
+                  excl->dcache().residentLineAddrs());
+    }
 }
 
 // L2 hit + miss counts always partition L1 misses, for every policy

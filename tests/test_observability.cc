@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdint>
@@ -451,6 +452,56 @@ TEST(Progress, SweepSlicesLandOnTheActiveRecorder)
         ++design_points;
     EXPECT_EQ(design_points, points.size());
     EXPECT_NE(json.find("\"cat\": \"sim-batch\""), std::string::npos);
+}
+
+TEST(SweepBatching, FourWorkersCutTheDesignSpaceAtL1Boundaries)
+{
+    // The 45-point design space on 4 workers: every batch holds one
+    // L1 size, and only runs longer than ceil(45 / 8) = 6 configs
+    // (the 9, 8 and 7 L2 sizes behind the 1K, 2K and 4K L1s) are cut
+    // in two, so the sim-batch slices are exactly 12.
+    const unsigned prev = parallelWorkerOverride();
+    setParallelWorkerCount(4);
+    MissRateEvaluator ev(2000);
+    Explorer ex(ev);
+    TraceEventRecorder rec;
+    TraceEventRecorder::setActive(&rec);
+    SystemAssumptions a;
+    auto points = ex.sweep(Benchmark::Gcc1, a, true, true);
+    TraceEventRecorder::setActive(nullptr);
+    setParallelWorkerCount(prev);
+    const std::vector<SystemConfig> configs =
+        DesignSpace::enumerate(a, true, true);
+    ASSERT_EQ(points.size(), configs.size());
+
+    std::ostringstream os;
+    rec.write(os);
+    Expected<JsonValue> doc = jsonParse(os.str());
+    ASSERT_TRUE(doc.ok());
+    std::vector<std::pair<std::size_t, std::size_t>> batches;
+    for (const JsonValue &e : doc.value().find("traceEvents")->items()) {
+        const JsonValue *cat = e.find("cat");
+        if (cat == nullptr || cat->str() != "sim-batch")
+            continue;
+        const JsonValue *args = e.find("args");
+        batches.emplace_back(
+            static_cast<std::size_t>(args->find("first")->number()),
+            static_cast<std::size_t>(args->find("count")->number()));
+    }
+    std::sort(batches.begin(), batches.end());
+    EXPECT_EQ(batches.size(), 12u);
+    std::size_t next = 0;
+    for (const auto &[first, count] : batches) {
+        EXPECT_EQ(first, next);
+        EXPECT_GE(count, 1u);
+        EXPECT_LE(count, 6u);
+        for (std::size_t i = first; i < first + count; ++i) {
+            EXPECT_EQ(configs[i].l1Bytes, configs[first].l1Bytes)
+                << "batch at " << first;
+        }
+        next = first + count;
+    }
+    EXPECT_EQ(next, configs.size());
 }
 
 // ------------------------------------------------------------ manifest

@@ -16,8 +16,10 @@
 #   tools/check.sh --tier=smoke     # bench/example smoke runs, the
 #                                   # observability and result-store
 #                                   # round trips, the figure_runner
-#                                   # recovery drill, and the benchmark
-#                                   # regression gate (bench_compare.py)
+#                                   # recovery drill, the exclusive-
+#                                   # figure lane routing pin, and the
+#                                   # benchmark regression gate
+#                                   # (bench_compare.py)
 #   tools/check.sh --simd=BACKEND   # force the lane-kernel backend
 #                                   # (scalar|avx2|native) for
 #                                   # every test and bench in the tier
@@ -332,6 +334,26 @@ run_smoke() {
         }
     done
     rm -rf "$fig_dir"
+
+    # Lane routing on the paper's own contribution: every lane of the
+    # exclusive-caching figures must run on the SoA lane kernels, so
+    # the metrics dump must report lanes and no generic ones.
+    echo "== smoke-running exclusive-figure lane routing pin =="
+    lane_dir=$(mktemp -d)
+    for f in fig22 fig23 fig24 fig25 fig26; do
+        build/examples/figure_runner --figure=$f --csv --refs=50000 \
+            --quiet --metrics-out="$lane_dir/$f.json" > /dev/null
+        python3 - "$lane_dir/$f.json" "$f" <<'EOF'
+import json, sys
+m = json.load(open(sys.argv[1]))
+lanes = m.get("explore.batch.lanes", 0)
+generic = m.get("explore.batch.generic_lanes")
+if lanes == 0 or generic != 0:
+    sys.exit("%s: %s lanes, %s on the generic path (want 0)"
+             % (sys.argv[2], lanes, generic))
+EOF
+    done
+    rm -rf "$lane_dir"
 
     # The simulation-trace container round trip: trace_tool writes
     # the version-3 delta/zigzag format with a CRC-32 footer over the
