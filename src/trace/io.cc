@@ -14,6 +14,8 @@
 #include <istream>
 #include <ostream>
 #include <sstream>
+#include <streambuf>
+#include <string>
 
 #include "util/bytes.hh"
 #include "util/crc32.hh"
@@ -93,29 +95,84 @@ clampedReserve(std::uint64_t count, std::uint64_t remaining,
     return count < fit ? count : fit;
 }
 
-} // namespace
+/** Canonical record size: u32le address + type byte. This is the raw
+ *  format's on-disk record and the unit the v3 footer CRC covers. */
+constexpr std::size_t kRecordBytes = 5;
 
-void
-writeBinaryTrace(std::ostream &os, const TraceBuffer &buf)
+/*
+ * Past the header, records move a byte at a time straight through the
+ * stream's buffer (inline sbumpc/sputc) rather than through is.read or
+ * os.write, which build a sentry per call. The buffer's own refills
+ * are the only block I/O, and a reader stops at the end of its trace.
+ * A reader that hits the end sets eofbit and failbit, and a writer
+ * whose bytes are refused sets badbit, as the stream calls would.
+ */
+
+/** Read @p n bytes from @p sb; false when the stream ends first. */
+bool
+getBytes(std::streambuf &sb, unsigned char *p, std::size_t n)
 {
-    writeHeader(os, kTraceVersion, buf.size());
-    for (const auto &rec : buf) {
-        unsigned char r[5];
-        storeU32le(r, rec.addr);
-        r[4] = static_cast<unsigned char>(rec.type);
-        os.write(reinterpret_cast<const char *>(r), sizeof r);
+    for (; n > 0; ++p, --n) {
+        const auto c = sb.sbumpc();
+        if (c == std::char_traits<char>::eof())
+            return false;
+        *p = static_cast<unsigned char>(c);
     }
+    return true;
 }
 
-Status
-readBinaryTrace(std::istream &is, TraceBuffer &buf)
+/** Write @p n bytes to @p sb; false when it refuses one. */
+bool
+putBytes(std::streambuf &sb, const unsigned char *p, std::size_t n)
 {
-    const std::size_t entry = buf.size();
-    auto fail = [&](Status s) {
-        buf.truncate(entry);
-        return s;
-    };
+    for (; n > 0; ++p, --n) {
+        if (sb.sputc(static_cast<char>(*p)) ==
+            std::char_traits<char>::eof())
+            return false;
+    }
+    return true;
+}
 
+/**
+ * The v3 footer CRC. Records are staged in their canonical 5-byte
+ * form and folded in a stage at a time. Checksumming the DECODED
+ * side, not the varint bytes, keeps the footer meaningful across
+ * recompression and pins down the delta/zigzag decode itself.
+ */
+class RecordCrc
+{
+  public:
+    void add(std::uint32_t addr, unsigned ty)
+    {
+        storeU32le(stage_ + staged_, addr);
+        stage_[staged_ + 4] = static_cast<unsigned char>(ty);
+        staged_ += kRecordBytes;
+        if (staged_ == sizeof stage_)
+            fold();
+    }
+
+    std::uint32_t final()
+    {
+        fold();
+        return crc32Final(state_);
+    }
+
+  private:
+    void fold()
+    {
+        state_ = crc32Update(state_, stage_, staged_);
+        staged_ = 0;
+    }
+
+    unsigned char stage_[1024 * kRecordBytes];
+    std::size_t staged_ = 0;
+    std::uint32_t state_ = kCrc32Init;
+};
+
+/** Read and check the magic; the version and count follow. */
+Status
+readMagic(std::istream &is)
+{
     char magic[4];
     if (!is.read(magic, 4))
         return Status(StatusCode::Truncated,
@@ -128,6 +185,40 @@ readBinaryTrace(std::istream &is, TraceBuffer &buf)
                        static_cast<unsigned char>(magic[2]),
                        static_cast<unsigned char>(magic[3]));
     }
+    return Status();
+}
+
+} // namespace
+
+void
+writeBinaryTrace(std::ostream &os, const TraceBuffer &buf)
+{
+    writeHeader(os, kTraceVersion, buf.size());
+    if (!os)
+        return;
+    std::streambuf &sb = *os.rdbuf();
+    bool ok = true;
+    for (const auto &rec : buf) {
+        unsigned char r[kRecordBytes];
+        storeU32le(r, rec.addr);
+        r[4] = static_cast<unsigned char>(rec.type);
+        ok &= putBytes(sb, r, sizeof r);
+    }
+    if (!ok)
+        os.setstate(std::ios::badbit);
+}
+
+Status
+readBinaryTrace(std::istream &is, TraceBuffer &buf)
+{
+    const std::size_t entry = buf.size();
+    auto fail = [&](Status s) {
+        buf.truncate(entry);
+        return s;
+    };
+
+    if (Status s = readMagic(is); !s.ok())
+        return s;
     std::uint32_t version;
     if (!readLe(is, version))
         return Status(StatusCode::Truncated,
@@ -154,10 +245,12 @@ readBinaryTrace(std::istream &is, TraceBuffer &buf)
                        static_cast<unsigned long long>(count),
                        static_cast<unsigned long long>(remaining));
     }
-    buf.reserve(entry + clampedReserve(count, remaining, 5));
+    buf.reserve(entry + clampedReserve(count, remaining, kRecordBytes));
+    std::streambuf &sb = *is.rdbuf();
     for (std::uint64_t i = 0; i < count; ++i) {
-        unsigned char r[5];
-        if (!is.read(reinterpret_cast<char *>(r), sizeof r)) {
+        unsigned char r[kRecordBytes];
+        if (!getBytes(sb, r, sizeof r)) {
+            is.setstate(std::ios::eofbit | std::ios::failbit);
             return fail(statusf(
                 StatusCode::Truncated,
                 "stream ends inside record %llu of %llu",
@@ -178,35 +271,6 @@ readBinaryTrace(std::istream &is, TraceBuffer &buf)
 
 namespace {
 
-Status
-getVarint(std::istream &is, std::uint64_t &v)
-{
-    v = 0;
-    unsigned shift = 0;
-    for (int nbytes = 1;; ++nbytes) {
-        char c;
-        if (!is.read(&c, 1)) {
-            return Status(StatusCode::Truncated,
-                          "stream ends inside a varint");
-        }
-        unsigned char b = static_cast<unsigned char>(c);
-        // A u64 takes at most 10 varint bytes, and the 10th carries
-        // only the top bit (shift 63).
-        if (nbytes > 10 || (shift == 63 && (b & 0x7e))) {
-            return statusf(StatusCode::OverlongVarint,
-                           "varint overflows 64 bits at byte %d", nbytes);
-        }
-        v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-        if (!(b & 0x80))
-            return Status();
-        if (nbytes == 10) {
-            return Status(StatusCode::OverlongVarint,
-                          "varint continues past 10 bytes");
-        }
-        shift += 7;
-    }
-}
-
 std::uint64_t
 zigzag(std::int64_t v)
 {
@@ -221,43 +285,32 @@ unzigzag(std::uint64_t v)
         -static_cast<std::int64_t>(v & 1);
 }
 
-/**
- * Fold one DECODED record into the footer CRC in its canonical
- * 5-byte form (little-endian address + type). Checksumming the
- * decoded side, not the varint bytes, keeps the footer meaningful
- * across recompression and pins down the delta/zigzag decode itself.
- */
-std::uint32_t
-crcRecord(std::uint32_t state, std::uint32_t addr, unsigned ty)
-{
-    unsigned char rec[5];
-    storeU32le(rec, addr);
-    rec[4] = static_cast<unsigned char>(ty);
-    return crc32Update(state, rec, sizeof rec);
-}
-
 } // namespace
 
 void
 writeCompressedTrace(std::ostream &os, const TraceBuffer &buf)
 {
     writeHeader(os, kTraceVersionCompressedCrc, buf.size());
+    if (!os)
+        return;
+    std::streambuf &sb = *os.rdbuf();
+    bool ok = true;
+    RecordCrc crc;
     std::uint32_t last[3] = {0, 0, 0};
-    std::uint32_t crc = kCrc32Init;
     for (const auto &rec : buf) {
         unsigned ty = static_cast<unsigned>(rec.type);
         std::int64_t delta = static_cast<std::int64_t>(rec.addr) -
             static_cast<std::int64_t>(last[ty]);
         last[ty] = rec.addr;
         unsigned char v[kMaxVarintBytes];
-        os.write(reinterpret_cast<const char *>(v),
-                 static_cast<std::streamsize>(
-                     encodeVarint(v, (zigzag(delta) << 2) | ty)));
-        crc = crcRecord(crc, rec.addr, ty);
+        ok &= putBytes(sb, v, encodeVarint(v, (zigzag(delta) << 2) | ty));
+        crc.add(rec.addr, ty);
     }
     unsigned char footer[4];
-    storeU32le(footer, crc32Final(crc));
-    os.write(reinterpret_cast<const char *>(footer), sizeof footer);
+    storeU32le(footer, crc.final());
+    ok &= putBytes(sb, footer, sizeof footer);
+    if (!ok)
+        os.setstate(std::ios::badbit);
 }
 
 Status
@@ -269,18 +322,8 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
         return s;
     };
 
-    char magic[4];
-    if (!is.read(magic, 4))
-        return Status(StatusCode::Truncated,
-                      "stream shorter than the 4-byte magic");
-    if (std::memcmp(magic, kTraceMagic, 4) != 0) {
-        return statusf(StatusCode::BadMagic,
-                       "magic bytes %02x%02x%02x%02x are not \"TLCT\"",
-                       static_cast<unsigned char>(magic[0]),
-                       static_cast<unsigned char>(magic[1]),
-                       static_cast<unsigned char>(magic[2]),
-                       static_cast<unsigned char>(magic[3]));
-    }
+    if (Status s = readMagic(is); !s.ok())
+        return s;
     std::uint32_t version;
     if (!readLe(is, version))
         return Status(StatusCode::Truncated,
@@ -314,15 +357,36 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
                        static_cast<unsigned long long>(remaining));
     }
     buf.reserve(entry + clampedReserve(count, remaining, 1));
+    std::streambuf &sb = *is.rdbuf();
+    RecordCrc crc;
     std::uint32_t last[3] = {0, 0, 0};
-    std::uint32_t crc = kCrc32Init;
     for (std::uint64_t i = 0; i < count; ++i) {
-        std::uint64_t word;
-        Status s = getVarint(is, word);
-        if (!s.ok()) {
-            return fail(s.withContext(
-                "record " + std::to_string(i) + " of " +
-                std::to_string(count)));
+        auto varintFail = [&](Status s) {
+            return fail(s.withContext("record " + std::to_string(i) +
+                                      " of " + std::to_string(count)));
+        };
+        // LEB128: a u64 takes at most kMaxVarintBytes, and the last
+        // one carries only the top bit (shift 63).
+        std::uint64_t word = 0;
+        for (unsigned nbytes = 1, shift = 0;; ++nbytes, shift += 7) {
+            unsigned char b;
+            if (!getBytes(sb, &b, 1)) {
+                is.setstate(std::ios::eofbit | std::ios::failbit);
+                return varintFail(Status(StatusCode::Truncated,
+                                         "stream ends inside a varint"));
+            }
+            if (shift == 63 && (b & 0x7e)) {
+                return varintFail(statusf(
+                    StatusCode::OverlongVarint,
+                    "varint overflows 64 bits at byte %u", nbytes));
+            }
+            word |= static_cast<std::uint64_t>(b & 0x7f) << shift;
+            if (!(b & 0x80))
+                break;
+            if (nbytes == kMaxVarintBytes) {
+                return varintFail(Status(StatusCode::OverlongVarint,
+                                         "varint continues past 10 bytes"));
+            }
         }
         unsigned ty = static_cast<unsigned>(word & 3);
         if (ty > 2) {
@@ -337,7 +401,7 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
         last[ty] = addr;
         buf.append(addr, static_cast<RefType>(ty));
         if (hasFooter)
-            crc = crcRecord(crc, addr, ty);
+            crc.add(addr, ty);
     }
     if (hasFooter) {
         std::uint32_t want;
@@ -345,7 +409,7 @@ readCompressedTrace(std::istream &is, TraceBuffer &buf)
             return fail(Status(StatusCode::Truncated,
                                "stream ends inside the CRC footer"));
         }
-        std::uint32_t got = crc32Final(crc);
+        const std::uint32_t got = crc.final();
         if (want != got) {
             return fail(statusf(
                 StatusCode::ChecksumMismatch,

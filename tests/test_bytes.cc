@@ -1,16 +1,21 @@
 /**
  * @file
- * The shared byte codec (util/bytes.hh). Its layout is the on-disk
- * and on-wire format of every binary file and frame, so it is pinned
- * byte for byte, and its read cursor must never step past the end.
+ * The shared byte codec (util/bytes.hh) and CRC-32 (util/crc32.hh).
+ * Their layout is the on-disk and on-wire format of every binary file
+ * and frame, so it is pinned byte for byte, the read cursor must never
+ * step past the end, and the sliced CRC must equal a bitwise one.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "util/bytes.hh"
+#include "util/crc32.hh"
+#include "util/random.hh"
 
 using namespace tlc;
 
@@ -75,4 +80,65 @@ TEST(Bytes, ReaderRoundTripsAndRefusesToReadPastTheEnd)
     }
     EXPECT_FALSE(r.u8(tag));
     EXPECT_TRUE(r.done());
+}
+
+namespace {
+
+/** Bytewise reference CRC-32 (reflected 0xedb88320), one bit at a
+ *  time: independent of the sliced tables under test. */
+std::uint32_t
+crcBitwise(std::uint32_t state, const unsigned char *p, std::size_t n)
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        state ^= p[i];
+        for (int k = 0; k < 8; ++k)
+            state = (state >> 1) ^ ((state & 1) ? 0xedb88320u : 0);
+    }
+    return state;
+}
+
+} // namespace
+
+TEST(Crc32, KnownAnswer)
+{
+    EXPECT_EQ(crc32("123456789", 9), 0xcbf43926u);
+    EXPECT_EQ(crc32("", 0), 0u);
+}
+
+TEST(Crc32, SlicedUpdateMatchesBytewiseAtEveryLengthAndAlignment)
+{
+    Pcg32 rng(0xc0ffee, 7);
+    std::vector<unsigned char> data(1024 + 8);
+    for (unsigned char &c : data)
+        c = static_cast<unsigned char>(rng.next());
+    for (std::size_t start = 0; start < 8; ++start) {
+        for (std::size_t len = 0; len <= 1024; ++len) {
+            const unsigned char *p = data.data() + start;
+            ASSERT_EQ(crc32Update(kCrc32Init, p, len),
+                      crcBitwise(kCrc32Init, p, len))
+                << "start " << start << " length " << len;
+        }
+    }
+}
+
+TEST(Crc32, IncrementalChunksMatchOneShot)
+{
+    Pcg32 rng(0xfeed, 3);
+    for (unsigned round = 0; round < 200; ++round) {
+        std::vector<unsigned char> data(rng.nextBounded(4096) + 1);
+        for (unsigned char &c : data)
+            c = static_cast<unsigned char>(rng.next());
+        std::uint32_t state = kCrc32Init;
+        for (std::size_t off = 0; off < data.size();) {
+            const std::size_t n = std::min<std::size_t>(
+                rng.nextBounded(40), data.size() - off);
+            state = crc32Update(state, data.data() + off, n);
+            off += n;
+        }
+        ASSERT_EQ(crc32Final(state),
+                  crc32Final(crcBitwise(kCrc32Init, data.data(),
+                                        data.size())))
+            << "round " << round;
+        ASSERT_EQ(crc32Final(state), crc32(data.data(), data.size()));
+    }
 }

@@ -3,19 +3,25 @@
  * Boundary-validation tests for the trace readers: a table-driven
  * corpus of corrupt inputs for all three formats (bad magic, wrong
  * version, truncated/oversized counts, mid-record EOF, invalid
- * reference types, overlong varints) plus randomized round-trip
- * property tests. Every failure must come back as a typed Status
- * with the destination buffer rolled back to its entry size.
+ * reference types, overlong varints), randomized round-trip property
+ * tests, cases where records, the footer or a cut meet a refill of
+ * the stream buffer, and a digest pin on the writers' bytes. Every failure must come
+ * back as a typed Status with the destination buffer rolled back to
+ * its entry size.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <streambuf>
+#include <utility>
 
 #include "trace/buffer.hh"
 #include "trace/io.hh"
+#include "trace/workload.hh"
 #include "util/random.hh"
 
 using namespace tlc;
@@ -494,4 +500,289 @@ TEST(TraceBufferTruncate, RestoresCountsExactly)
     b.truncate(0);
     EXPECT_TRUE(b.empty());
     EXPECT_EQ(b.totalRefs(), 0u);
+}
+
+// ---------------------------------------------------------------------
+// Refill boundaries: past the header the binary readers take their
+// bytes straight from the stream buffer, so records, the footer and
+// truncation points that land on or across one of its refills must
+// behave exactly as anywhere else, on seekable and unseekable streams.
+// ---------------------------------------------------------------------
+
+namespace {
+
+/** PipeBuf's refill size; the first refill lands this many bytes
+ *  into the stream, kRefill - 16 into the records. */
+constexpr std::size_t kRefill = 64 * 1024;
+
+/** A stream source that cannot seek, as on a pipe: tellg fails, and
+ *  each underflow hands out at most kRefill bytes. */
+class PipeBuf : public std::streambuf
+{
+  public:
+    explicit PipeBuf(std::string bytes) : bytes_(std::move(bytes)) {}
+
+  protected:
+    int_type underflow() override
+    {
+        if (off_ == bytes_.size())
+            return traits_type::eof();
+        const std::size_t n = std::min(kRefill, bytes_.size() - off_);
+        char *b = bytes_.data() + off_;
+        setg(b, b, b + n);
+        off_ += n;
+        return traits_type::to_int_type(*b);
+    }
+
+  private:
+    std::string bytes_;
+    std::size_t off_ = 0;
+};
+
+enum class Source { Seekable, Pipe };
+
+Status
+readFrom(Source src, Reader r, const std::string &bytes, TraceBuffer &buf)
+{
+    if (src == Source::Seekable)
+        return readWith(r, bytes, buf);
+    PipeBuf pipe(bytes);
+    std::istream is(&pipe);
+    EXPECT_EQ(is.tellg(), std::istream::pos_type(-1));
+    is.clear();
+    return r == Reader::Raw ? readBinaryTrace(is, buf)
+                            : readCompressedTrace(is, buf);
+}
+
+/** @p n full-range random records: ~5 varint bytes each. */
+TraceBuffer
+wideTrace(std::size_t n)
+{
+    Pcg32 rng(0xb10c, 9);
+    TraceBuffer b;
+    for (std::size_t i = 0; i < n; ++i)
+        b.append(rng.next(), static_cast<RefType>(rng.nextBounded(3)));
+    return b;
+}
+
+/**
+ * What a sequential reader owes for @p image cut to @p len bytes:
+ * the code, and the index of the record it was inside (-1 when the
+ * cut is not inside a record). Record ends are found from the bytes
+ * themselves: 5-byte strides for v1, and for v3 the varint bytes
+ * whose continuation bit is clear.
+ */
+std::pair<StatusCode, long>
+expectedCut(Source src, Reader r, const std::string &image,
+            std::uint64_t count, std::size_t len)
+{
+    const std::uint64_t remaining = len - 16;
+    if (r == Reader::Raw) {
+        if (src == Source::Seekable && count > remaining)
+            return {StatusCode::CountTooLarge, -1};
+        return {StatusCode::Truncated, static_cast<long>(remaining / 5)};
+    }
+    if (src == Source::Seekable &&
+        (remaining < 4 || count > remaining - 4))
+        return {remaining < 4 ? StatusCode::Truncated
+                              : StatusCode::CountTooLarge, -1};
+    long done = 0;
+    for (std::size_t i = 16; i < len && done < static_cast<long>(count);
+         ++i)
+        done += (static_cast<unsigned char>(image[i]) & 0x80) == 0;
+    return {StatusCode::Truncated,
+            done < static_cast<long>(count) ? done : -1};
+}
+
+} // namespace
+
+TEST(TraceRefillBoundary, MultiRefillTracesRoundTripOnEveryStream)
+{
+    const TraceBuffer orig = wideTrace(60000);
+    const std::string comp = serializeCompressed(orig);
+    const std::string raw = serializeRaw(orig);
+    ASSERT_GE(comp.size(), 3 * kRefill);
+    ASSERT_GE(raw.size(), 3 * kRefill);
+    for (Source src : {Source::Seekable, Source::Pipe}) {
+        TraceBuffer a, b;
+        ASSERT_TRUE(readFrom(src, Reader::Compressed, comp, a));
+        expectEqual(orig, a, "compressed", 0);
+        ASSERT_TRUE(readFrom(src, Reader::Raw, raw, b));
+        expectEqual(orig, b, "raw", 0);
+    }
+    // A file stream refills from its own buffer many times over.
+    const std::string path = ::testing::TempDir() + "/tlc_multi_refill.trc";
+    for (const std::string *img : {&comp, &raw}) {
+        {
+            std::ofstream os(path, std::ios::binary);
+            os.write(img->data(), static_cast<std::streamsize>(img->size()));
+        }
+        TraceBuffer got;
+        ASSERT_TRUE(loadTraceFile(path, got));
+        expectEqual(orig, got, img == &comp ? "file v3" : "file v1", 0);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(TraceRefillBoundary, ReadersStopAtTheEndOfTheirTrace)
+{
+    // Two traces back to back in one stream: each reader must leave
+    // the next trace's bytes unread.
+    const TraceBuffer first = wideTrace(3000);
+    const TraceBuffer second = sampleTrace();
+    for (Reader r : {Reader::Compressed, Reader::Raw}) {
+        auto image = r == Reader::Raw ? serializeRaw : serializeCompressed;
+        const std::string both = image(first) + image(second);
+        for (Source src : {Source::Seekable, Source::Pipe}) {
+            std::istringstream ss(both);
+            PipeBuf pipe(both);
+            std::istream piped(&pipe);
+            std::istream &is = src == Source::Pipe ? piped : ss;
+            TraceBuffer a, b;
+            auto read = r == Reader::Raw ? readBinaryTrace
+                                         : readCompressedTrace;
+            ASSERT_TRUE(read(is, a));
+            ASSERT_TRUE(read(is, b));
+            expectEqual(first, a, "first", 0);
+            expectEqual(second, b, "second", 0);
+            EXPECT_EQ(is.peek(), std::char_traits<char>::eof());
+        }
+    }
+}
+
+TEST(TraceRefillBoundary, VarintAndFooterStraddlingARefill)
+{
+    // m one-byte records, then one 5-byte varint (a load at 2^31),
+    // then a short tail: as m sweeps past the first refill the long
+    // varint starts before, across and after it.
+    constexpr std::size_t kFirst = kRefill - 16;
+    for (std::size_t m = kFirst - 12; m <= kFirst + 2; ++m) {
+        TraceBuffer orig;
+        for (std::size_t i = 0; i < m; ++i)
+            orig.append(0, RefType::Instr);
+        orig.append(0x80000000u, RefType::Load);
+        for (int i = 0; i < 100; ++i)
+            orig.append(0, RefType::Instr);
+        const std::string img = serializeCompressed(orig);
+        ASSERT_EQ(img.size(), 16 + m + 5 + 100 + 4);
+        for (Source src : {Source::Seekable, Source::Pipe}) {
+            TraceBuffer got;
+            ASSERT_TRUE(readFrom(src, Reader::Compressed, img, got))
+                << "m = " << m;
+            expectEqual(orig, got, "straddling varint",
+                        static_cast<unsigned>(m));
+        }
+    }
+    // n one-byte records put the 4-byte footer at payload offset n,
+    // so it sits before, across and after the first refill. The
+    // writer's varints are at most 6 bytes, so the same images with
+    // the last record re-spelled as a 10-byte varint (a legal,
+    // padded zero) put the longest varint across the refill too.
+    for (std::size_t n = kFirst - 12; n <= kFirst + 2; ++n) {
+        TraceBuffer orig;
+        for (std::size_t i = 0; i < n; ++i)
+            orig.append(0, RefType::Instr);
+        const std::string img = serializeCompressed(orig);
+        ASSERT_EQ(img.size(), 16 + n + 4);
+        std::string padded = img;
+        padded.replace(16 + n - 1, 1, std::string(9, '\x80') + '\0');
+        for (const std::string &good : {img, padded}) {
+            for (Source src : {Source::Seekable, Source::Pipe}) {
+                TraceBuffer got;
+                ASSERT_TRUE(readFrom(src, Reader::Compressed, good, got))
+                    << "n = " << n << ", " << good.size() << " bytes";
+                EXPECT_EQ(got.size(), n);
+                std::string bad = good;
+                bad[bad.size() - 1] ^= 0x40;
+                TraceBuffer rejected;
+                EXPECT_EQ(readFrom(src, Reader::Compressed, bad,
+                                   rejected).code(),
+                          StatusCode::ChecksumMismatch) << "n = " << n;
+                EXPECT_TRUE(rejected.empty());
+            }
+        }
+    }
+}
+
+TEST(TraceRefillBoundary, CutsAroundTheRefillAndFooterReportTheirRecord)
+{
+    const TraceBuffer orig = wideTrace(60000);
+    for (Reader r : {Reader::Compressed, Reader::Raw}) {
+        const std::string img = r == Reader::Raw
+            ? serializeRaw(orig) : serializeCompressed(orig);
+        // The v3 footer (or the v1 end) is the second window.
+        const std::size_t tailStart =
+            img.size() - (r == Reader::Raw ? 0 : 4);
+        std::vector<std::size_t> cuts;
+        for (std::size_t c = kRefill - 16; c <= kRefill + 16; ++c)
+            cuts.push_back(c);
+        for (std::size_t c = tailStart - 16;
+             c <= tailStart + 16 && c < img.size(); ++c)
+            cuts.push_back(c);
+        for (Source src : {Source::Seekable, Source::Pipe}) {
+            for (std::size_t len : cuts) {
+                const auto [code, record] =
+                    expectedCut(src, r, img, orig.size(), len);
+                TraceBuffer buf;
+                buf.append(0x1000, RefType::Instr);
+                buf.append(0x2000, RefType::Store);
+                Status s = readFrom(src, r, img.substr(0, len), buf);
+                SCOPED_TRACE(std::string(r == Reader::Raw ? "v1" : "v3") +
+                             (src == Source::Pipe ? " pipe" : " seekable") +
+                             " cut " + std::to_string(len) + ": " +
+                             s.toString());
+                ASSERT_EQ(s.code(), code);
+                if (record >= 0) {
+                    EXPECT_NE(s.message().find(
+                                  "record " + std::to_string(record) +
+                                  " of " + std::to_string(orig.size())),
+                              std::string::npos);
+                } else if (code == StatusCode::Truncated) {
+                    EXPECT_NE(s.message().find("CRC footer"),
+                              std::string::npos);
+                }
+                ASSERT_EQ(buf.size(), 2u);
+                EXPECT_EQ(buf.instrRefs(), 1u);
+                EXPECT_EQ(buf.storeRefs(), 1u);
+                EXPECT_EQ(buf[1].addr, 0x2000u);
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------
+// The on-disk format, pinned: the writers must keep producing the
+// bytes earlier builds wrote (and so keep reading what they wrote).
+// ---------------------------------------------------------------------
+
+namespace {
+
+std::uint64_t
+fnv1a64(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+} // namespace
+
+TEST(TraceFormatPin, WritersKeepTheirBytes)
+{
+    const TraceBuffer gcc = Workloads::generate(Benchmark::Gcc1, 100000, 1);
+    const std::string comp = serializeCompressed(gcc);
+    const std::string raw = serializeRaw(gcc);
+    EXPECT_EQ(comp.size(), 143116u);
+    EXPECT_EQ(fnv1a64(comp), 0xadf02f265f3b4821ull);
+    EXPECT_EQ(raw.size(), 500016u);
+    EXPECT_EQ(fnv1a64(raw), 0x16c56501cd83cba0ull);
+
+    TraceBuffer a, b;
+    ASSERT_TRUE(readWith(Reader::Compressed, comp, a));
+    expectEqual(gcc, a, "pinned v3", 0);
+    ASSERT_TRUE(readWith(Reader::Raw, raw, b));
+    expectEqual(gcc, b, "pinned v1", 0);
 }

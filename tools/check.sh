@@ -240,6 +240,10 @@ run_asan() {
     build-asan/tests/test_robustness
     build-asan/tests/test_result_store
     build-asan/tools/trace_fuzz --rounds=100 --refs=2000
+    # The pass above fuzzes 2K-reference traces. 200K-reference ones
+    # also put faults deep in a long trace, and fold the v3 footer
+    # CRC over hundreds of 1024-record stages.
+    build-asan/tools/trace_fuzz --rounds=10 --refs=200000
 }
 
 run_tsan() {
