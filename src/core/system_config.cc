@@ -7,6 +7,7 @@
 
 #include <sstream>
 
+#include "timing/access_time.hh"
 #include "util/logging.hh"
 #include "util/table.hh"
 #include "util/units.hh"
@@ -51,14 +52,30 @@ SystemConfig::missKeyString() const
     return os.str();
 }
 
+namespace {
+
+/** A cache level's geometry is valid and the timing model can
+ *  organize it (the same geometry Explorer::timingOf prices). */
+Status
+checkLevel(const CacheParams &p)
+{
+    Status s = p.check();
+    if (!s.ok())
+        return s;
+    return AccessTimeModel::checkOrganizable(
+        SramGeometry{p.sizeBytes, p.lineBytes, p.assoc});
+}
+
+} // namespace
+
 Status
 SystemConfig::check() const
 {
-    Status s = l1Params().check();
+    Status s = checkLevel(l1Params());
     if (!s.ok())
         return s.withContext("L1 of " + label());
     if (hasL2()) {
-        s = l2Params().check();
+        s = checkLevel(l2Params());
         if (!s.ok())
             return s.withContext("L2 of " + label());
     }

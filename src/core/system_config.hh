@@ -49,10 +49,12 @@ struct SystemConfig
     bool hasL2() const { return l2Bytes != 0; }
 
     /**
-     * Check that both cache levels have valid geometry, returning a
+     * Check that both cache levels have valid geometry and that the
+     * timing model can organize each of them, returning a
      * descriptive InvalidConfig Status naming the offending level
-     * instead of aborting. Sweeps call this before pricing a point
-     * so one degenerate configuration cannot kill a run.
+     * instead of aborting. Sweeps call this before simulating or
+     * pricing a point so one degenerate configuration cannot kill a
+     * run.
      */
     Status check() const;
 

@@ -10,6 +10,7 @@
 #include <csignal>
 #include <cstring>
 #include <sstream>
+#include <vector>
 
 #include <poll.h>
 #include <sys/socket.h>
@@ -165,15 +166,13 @@ SweepDaemon::stop()
         acceptThread_.join();
     // Connection threads notice stop_ within one poll tick; a thread
     // inside a sweep finishes it first (drain semantics).
-    std::vector<std::thread> conns;
+    std::list<Connection> conns;
     {
         std::lock_guard<std::mutex> lock(connsMu_);
         conns.swap(conns_);
     }
-    for (std::thread &t : conns) {
-        if (t.joinable())
-            t.join();
-    }
+    for (Connection &c : conns)
+        c.thread.join();
     if (listenFd_ >= 0) {
         ::close(listenFd_);
         listenFd_ = -1;
@@ -183,9 +182,22 @@ SweepDaemon::stop()
 }
 
 void
+SweepDaemon::reapFinished()
+{
+    std::lock_guard<std::mutex> lock(connsMu_);
+    conns_.remove_if([](Connection &c) {
+        if (!c.done)
+            return false;
+        c.thread.join();
+        return true;
+    });
+}
+
+void
 SweepDaemon::acceptLoop()
 {
     while (!stop_) {
+        reapFinished();
         pollfd p{listenFd_, POLLIN, 0};
         int r = ::poll(&p, 1, kPollMs);
         if (r < 0) {
@@ -205,7 +217,11 @@ SweepDaemon::acceptLoop()
         }
         DaemonMetrics::get().connections.inc();
         std::lock_guard<std::mutex> lock(connsMu_);
-        conns_.emplace_back([this, fd] { serveConnection(fd); });
+        Connection &c = conns_.emplace_back();
+        c.thread = std::thread([this, fd, &c] {
+            serveConnection(fd);
+            c.done = true;
+        });
     }
 }
 

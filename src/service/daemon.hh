@@ -33,7 +33,9 @@
  * concurrently, run in arrival order, and the later one's repeated
  * points resolve from the shared store (warm, near-free).
  *
- * Lifecycle: start() binds, listens and spawns the accept loop;
+ * Lifecycle: start() binds, listens and spawns the accept loop,
+ * which joins each connection thread whose client has gone (so a
+ * long-lived daemon holds threads for live connections only);
  * stop() (idempotent, also run by the destructor) finishes in-flight
  * requests, joins every connection thread and unlinks the socket.
  * tlcd (tools/tlcd.cc) wires SIGTERM/SIGINT to stop() for clean
@@ -44,10 +46,10 @@
 #define TLC_SERVICE_DAEMON_HH
 
 #include <atomic>
+#include <list>
 #include <mutex>
 #include <string>
 #include <thread>
-#include <vector>
 
 #include "service/sweep_service.hh"
 #include "util/status.hh"
@@ -77,7 +79,15 @@ class SweepDaemon
     const std::string &socketPath() const { return socketPath_; }
 
   private:
+    /** One connection's thread; done flips as the thread exits. */
+    struct Connection
+    {
+        std::thread thread;
+        std::atomic<bool> done{false};
+    };
+
     void acceptLoop();
+    void reapFinished();
     void serveConnection(int fd);
     void handleRequest(int fd, std::mutex &write_mu, bool &dead,
                        const std::string &text);
@@ -89,7 +99,7 @@ class SweepDaemon
     bool started_ = false;
     std::thread acceptThread_;
     std::mutex connsMu_;
-    std::vector<std::thread> conns_;
+    std::list<Connection> conns_; ///< list: nodes never move
 };
 
 } // namespace tlc::service

@@ -11,6 +11,7 @@
 
 #include "timing/organization.hh"
 #include "timing/technology.hh"
+#include "util/status.hh"
 
 namespace tlc {
 
@@ -64,9 +65,21 @@ class AccessTimeModel
                           const ArrayOrganization &data_org,
                           const ArrayOrganization &tag_org) const;
 
-    /** Search organizations for the best (minimum-cycle) timing.
-     *  Fully-associative geometries take the CAM path. */
+    /**
+     * Search organizations for the best (minimum-cycle) timing.
+     * Fully-associative geometries take the CAM path. Requires
+     * checkOrganizable(@p g) to pass.
+     */
     TimingResult optimize(const SramGeometry &g) const;
+
+    /**
+     * Whether optimize() can price @p g: an InvalidConfig Status
+     * when the geometry leaves no tag bits, has too few entries for
+     * a CAM, or no organization divides its data or tag array.
+     * Sweeps check this before simulating a point, so a geometry
+     * the timing model cannot organize fails that point only.
+     */
+    static Status checkOrganizable(const SramGeometry &g);
 
     /**
      * Timing of a fully-associative (CAM-tagged) array: the match

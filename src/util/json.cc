@@ -6,7 +6,9 @@
 
 #include "json.hh"
 
+#include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -67,19 +69,31 @@ jsonNumber(double v)
 {
     if (!std::isfinite(v))
         return "0";
+    // The output is "%.*g" at the smallest precision in 6..17 whose
+    // text parses back to v: %.17g round-trips any double but prints
+    // 0.1 as 0.10000000000000001. No precision below the digit count
+    // of the shortest round-trip form can round-trip, so the search
+    // starts there. It stops at once except for some powers of two,
+    // whose rounding interval is narrower below than above: there
+    // the nearest decimal of that many digits can miss it.
     char buf[40];
-    // %.17g round-trips any double but prints 0.1 as
-    // 0.10000000000000001; try increasing precision until the value
-    // survives a parse round trip.
-    for (int prec = 6; prec <= 17; ++prec) {
-        std::snprintf(buf, sizeof(buf), "%.*g", prec, v);
+    const std::to_chars_result shortest = std::to_chars(
+        buf, buf + sizeof(buf), v, std::chars_format::scientific);
+    int digits = 0;
+    for (const char *c = buf; c != shortest.ptr && *c != 'e'; ++c)
+        digits += *c >= '0' && *c <= '9';
+
+    std::to_chars_result printed{};
+    for (int prec = std::max(6, digits); prec <= 17; ++prec) {
+        printed = std::to_chars(buf, buf + sizeof(buf), v,
+                                std::chars_format::general, prec);
         double back = 0.0;
-        if (std::sscanf(buf, "%lf", &back) == 1 && back == v)
+        std::from_chars(buf, printed.ptr, back);
+        if (back == v)
             break;
     }
-    std::string out = buf;
     // "1e+06" is valid JSON, but "inf"/"nan" never reach here.
-    return out;
+    return std::string(buf, printed.ptr);
 }
 
 // ---------------------------------------------------------------------

@@ -23,8 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -486,6 +488,85 @@ TEST(SweepDaemon, BadRequestKeepsTheConnectionUsable)
     });
 
     ::close(fd);
+    daemon.stop();
+}
+
+TEST(SweepService, UnorganizableGeometryIsAFailureNotAnAbort)
+{
+    // A 16 MB direct-mapped L2 with 16 B lines passes the cache
+    // model's checks, but the timing model has no organization for
+    // it. The point must come back as a typed failure, before any
+    // simulation, while the other point is served.
+    SweepRequestSpec spec = smallSpec();
+    spec.assume.l2Assoc = 1;
+    spec.configs = {{8_KiB, 64_KiB}, {8_KiB, 16_MiB}};
+    SweepService svc;
+    ASSERT_TRUE(svc.init().ok());
+    ServiceRun run = svc.run(spec);
+    ASSERT_EQ(run.outcome.sweeps.size(), 1u);
+    EXPECT_EQ(run.outcome.sweeps[0].points.size(), 1u);
+    ASSERT_EQ(run.outcome.failures.size(), 1u);
+    EXPECT_EQ(run.outcome.failures[0].subject, "8:16384");
+    EXPECT_EQ(run.outcome.failures[0].status.code(),
+              StatusCode::InvalidConfig);
+    EXPECT_EQ(run.accounting.failures, 1u);
+    EXPECT_EQ(sweepResponseJson(spec, run.outcome),
+              directResponse(spec));
+}
+
+/** Threads of this process, from /proc/self/task. */
+std::size_t
+threadCount()
+{
+    std::size_t n = 0;
+    for ([[maybe_unused]] const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task"))
+        ++n;
+    return n;
+}
+
+/** Address-space size of this process in kB (VmSize). A thread that
+ *  finished but was never joined keeps its stack mapped. */
+std::size_t
+vmSizeKb()
+{
+    std::ifstream in("/proc/self/status");
+    std::string line;
+    while (std::getline(in, line)) {
+        if (line.rfind("VmSize:", 0) == 0)
+            return std::stoul(line.substr(7));
+    }
+    return 0;
+}
+
+TEST(SweepDaemon, FinishedConnectionsAreJoined)
+{
+    SweepRequestSpec spec = smallSpec();
+    spec.configs = {{8_KiB, 0}};
+    spec.traceRefs = 20000;
+    const std::string request = sweepRequestToJson(spec);
+
+    SweepService svc;
+    ASSERT_TRUE(svc.init().ok());
+    SweepDaemon daemon(svc, tempPath("tlcd_reap.sock"));
+    ASSERT_TRUE(daemon.start().ok());
+
+    // Warm up the trace pool and the stack cache first.
+    ASSERT_TRUE(submitSweepRequest(daemon.socketPath(), request).ok());
+    const std::size_t threads0 = threadCount();
+    const std::size_t vm0 = vmSizeKb();
+    std::size_t maxThreads = threads0;
+    for (int i = 0; i < 200; ++i) {
+        Expected<ServiceReply> r =
+            submitSweepRequest(daemon.socketPath(), request);
+        ASSERT_TRUE(r.ok()) << r.status().toString();
+        maxThreads = std::max(maxThreads, threadCount());
+    }
+    // Each connection's thread is joined once its client leaves, so
+    // neither the live threads nor their stacks pile up: 200 leaked
+    // stacks would add well over a gigabyte of address space.
+    EXPECT_LE(maxThreads, threads0 + 4);
+    EXPECT_LT(vmSizeKb(), vm0 + 256 * 1024);
     daemon.stop();
 }
 

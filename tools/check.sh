@@ -396,11 +396,24 @@ EOF
     # through a live tlcd (cold then warm), once through the CLI
     # --request path, and require all three responses byte-identical
     # — with the warm client's stats proving every point came from
-    # the shared result store. SIGTERM must drain and exit 0.
+    # the shared result store. Before that, the same daemon serves a
+    # request holding a geometry the timing model cannot organize
+    # (16 MB direct-mapped L2, 16 B lines): the response must list
+    # that point as invalid-config, the CLI must print the same
+    # response and exit 0, and the cold/warm/CLI checks that follow
+    # prove the daemon survived it. SIGTERM must drain and exit 0.
     echo "== smoke-running sweep-service daemon drill =="
     svc_dir=$(mktemp -d)
     build/tools/tlc_client --print-request --bench=gcc1 \
         --refs=20000 --tag=drill > "$svc_dir/request.json"
+    cat > "$svc_dir/unorganizable.json" <<'EOF'
+{"schema": "tlc-sweep-request-v1", "tag": "unorganizable",
+ "benchmarks": ["gcc1"],
+ "assumptions": {"l2_assoc": 1, "line_bytes": 16},
+ "configs": [{"l1_bytes": 8192, "l2_bytes": 65536},
+             {"l1_bytes": 8192, "l2_bytes": 16777216}],
+ "evaluator": {"trace_refs": 20000}}
+EOF
     build/tools/tlcd --socket="$svc_dir/tlcd.sock" \
         --result-store="$svc_dir/store.tlcr" \
         > "$svc_dir/tlcd.log" 2>&1 &
@@ -414,6 +427,27 @@ EOF
         cat "$svc_dir/tlcd.log" >&2
         exit 1
     }
+    build/tools/tlc_client --socket="$svc_dir/tlcd.sock" \
+        --request="$svc_dir/unorganizable.json" \
+        --out="$svc_dir/unorganizable_daemon.json"
+    build/examples/design_explorer \
+        --request="$svc_dir/unorganizable.json" \
+        > "$svc_dir/unorganizable_cli.json" || {
+        echo "--request exited non-zero on an unorganizable geometry" >&2
+        exit 1
+    }
+    cmp "$svc_dir/unorganizable_daemon.json" \
+        "$svc_dir/unorganizable_cli.json" || {
+        echo "daemon and CLI disagree on the unorganizable request" >&2
+        exit 1
+    }
+    python3 - "$svc_dir/unorganizable_daemon.json" <<'EOF'
+import json, sys
+r = json.load(open(sys.argv[1]))
+assert [f["subject"] for f in r["failures"]] == ["8:16384"], r["failures"]
+assert r["failures"][0]["code"] == "invalid-config", r["failures"]
+assert len(r["benchmarks"][0]["points"]) == 1, r["benchmarks"]
+EOF
     build/tools/tlc_client --socket="$svc_dir/tlcd.sock" \
         --request="$svc_dir/request.json" \
         --out="$svc_dir/cold.json"
