@@ -12,7 +12,9 @@
  * Usage: bench_observability_snapshot [--refs=N] [--threads=N]
  */
 
+#include <algorithm>
 #include <map>
+#include <span>
 
 #include "bench_common.hh"
 #include "core/shard_runner.hh"
@@ -117,9 +119,11 @@ main(int argc, char **argv)
     // Cross-process telemetry snapshot (docs/observability.md): run
     // the 64-point reference grid once in-process and once under the
     // shard supervisor and check the streamed metric rollups are
-    // identical. One worker thread makes the in-process engine split
-    // the grid into the same 32-point batches the shards use, so
-    // every comparable counter must agree exactly.
+    // identical. The in-process side simulates the grid in the same
+    // 32-point slices the shards use (one tryMissStatsBatch each, as
+    // in a worker) and prices the whole grid from them once, as the
+    // supervisor's parent does, so every comparable counter must
+    // agree exactly.
     setParallelWorkerCount(1);
     const std::vector<SystemConfig> grid = referenceGrid();
     SupervisorOptions sopts;
@@ -131,7 +135,25 @@ main(int argc, char **argv)
         MissRateEvaluator gev(refs);
         Explorer gex(gev);
         FailureReport greport;
-        gex.evaluateAll(Benchmark::Gcc1, grid, &greport);
+        std::vector<Expected<HierarchyStats>> miss;
+        const std::span<const SystemConfig> all(grid);
+        for (std::size_t lo = 0; lo < grid.size();
+             lo += sopts.pointsPerShard) {
+            const std::size_t n =
+                std::min(sopts.pointsPerShard, grid.size() - lo);
+            for (Expected<HierarchyStats> &s :
+                 gev.tryMissStatsBatch(Benchmark::Gcc1,
+                                       all.subspan(lo, n)))
+                miss.push_back(std::move(s));
+        }
+        gex.evaluateAll(Benchmark::Gcc1, grid, &greport,
+                        [&miss](std::size_t lo, std::size_t hi) {
+                            return std::vector<Expected<HierarchyStats>>(
+                                miss.begin() +
+                                    static_cast<std::ptrdiff_t>(lo),
+                                miss.begin() +
+                                    static_cast<std::ptrdiff_t>(hi));
+                        });
     }
     const std::map<std::string, std::uint64_t> reference =
         comparableCounters();

@@ -9,13 +9,14 @@
  * same multi-million-reference trace once per configuration, and on
  * this machine the trace walk dominates wall clock. SimGroup inverts
  * the loop: the trace is decoded once and each reference is applied
- * to every registered lane, block by block, so the trace data
- * streams through the L1 of the *host* once per block instead of
+ * to every registered lane, epoch by epoch, so the trace data
+ * streams through the caches of the *host* once per epoch instead of
  * once per configuration.
  *
- * SimGroup itself is the grouping layer: it decides which lanes can
- * share simulated state and which structure-of-arrays flavour each
- * one runs on. The lane layouts and their vectorized kernels live in
+ * SimGroup itself is the grouping and scheduling layer: it decides
+ * which lanes can share simulated state, which structure-of-arrays
+ * flavour each one runs on, and how a trace pass spreads over the
+ * worker team. The lane layouts and their vectorized kernels live in
  * cache/simd_lanes.hh (dispatched at runtime over the SIMD backends
  * compiled into the binary — scalar always, AVX2 on x86-64 — forced
  * with TLC_SIMD or setSimdBackend()):
@@ -26,6 +27,11 @@
  *    shared miss queue) and L1-only lanes (bit-identical, one shared
  *    stats block). An L2-capacity sweep over a fixed L1 costs one L1
  *    simulation instead of N.
+ *  - L1Forest — all SharedL1Groups of one line size. Direct-mapped
+ *    L1s of one line size nest (set-refinement inclusion), so ONE
+ *    walk that probes them smallest first and stops at the first hit
+ *    serves an L1-capacity sweep too: a design-space sweep walks its
+ *    trace once per line size, not once per L1 size.
  *  - StrictLaneBlock — strict-inclusive lanes, which need private
  *    L1s (back-invalidation), interleaved so one vector probe per
  *    record answers every lane's L1 lookup at once.
@@ -33,16 +39,30 @@
  *    buffer, associative L1s) accessed record-by-record through the
  *    virtual interface.
  *
+ * simulate() pipelines the pass by epoch (~64 K records, with a cut
+ * at the warmup boundary) across the parallelFor team
+ * (util/parallel.hh), one parallelFor per epoch: one task per forest
+ * walks epoch e+1 into one half of each level's double-buffered miss
+ * queue while the rest of the team replays epoch e from the other
+ * half in same-policy sub tasks, kReplayInterleave subs wide
+ * (narrower only where a level's subs would otherwise hold more than
+ * one worker's share of the epoch's replay work), with each strict
+ * block and generic lane a task of its own. Called from
+ * inside a parallelFor worker, the same schedule runs serially.
+ *
  * Equivalence contract: every lane produces HierarchyStats
  * byte-identical to running the corresponding Hierarchy alone over
  * the same records — including replacement RNG draw sequences,
  * LRU/FIFO ordering and write-back accounting, on every SIMD
- * backend (tests/test_batch_engine.cc enforces this differentially
- * across every hierarchy shape and backend).
+ * backend and at every team width (tests/test_batch_engine.cc
+ * enforces this differentially across hierarchy shapes, random
+ * forests and backends).
  *
- * Thread safety: none — a SimGroup is built, run and read by one
- * thread. Batched sweeps get their parallelism by giving each worker
- * its own SimGroup over the shared read-only trace.
+ * Thread safety: a SimGroup is built, run and read by one thread;
+ * simulate() fans its own tasks out and joins them before returning.
+ * Tasks of one epoch touch disjoint state: the walk owns the L1 tags
+ * and one queue half, each replay task its subs, each strict block
+ * and generic lane itself.
  */
 
 #ifndef TLC_CACHE_SIM_GROUP_HH
@@ -62,8 +82,8 @@ namespace tlc {
 
 /**
  * A group of independent cache hierarchies simulated in one trace
- * pass. Add lanes, then drive records through accessRange(); stats
- * are read back per lane by the index add*() returned.
+ * pass. Add lanes, then drive records through simulate(); stats are
+ * read back per lane by the index add*() returned.
  */
 class SimGroup
 {
@@ -104,16 +124,18 @@ class SimGroup
     bool laneIsFlat(std::size_t lane) const;
 
     /**
-     * Apply @p n records to every lane. Records are processed in
-     * blocks, lane-major within a block, so each lane's tag state
-     * stays hot while the block is replayed against it. The flat
-     * flavours run through the kernel set of the active SIMD backend
-     * (util/simd.hh), resolved per call.
+     * Drive @p n records through every lane: the first
+     * @p warmup_refs (clamped to @p n) warm the lanes, then the
+     * statistics are zeroed and cover the rest — Hierarchy::simulate's
+     * contract, for all lanes in one pipelined pass (see the file
+     * comment). The flat flavours run through the kernel set of the
+     * active SIMD backend (util/simd.hh), resolved per call.
      */
-    void accessRange(const TraceRecord *recs, std::size_t n);
+    void simulate(const TraceRecord *recs, std::size_t n,
+                  std::size_t warmup_refs);
 
-    /** Zero every lane's statistics, keeping cache contents. */
-    void resetStats();
+    /** L1 tag words the forest walks have read so far. */
+    std::uint64_t l1TagProbes() const { return tagProbes_; }
 
     /** Statistics of one lane. */
     const HierarchyStats &stats(std::size_t lane) const;
@@ -142,10 +164,30 @@ class SimGroup
      */
     std::uint32_t strictBlockFor(const CacheParams &l1_params);
 
+    struct Task;
+
+    /** Zero every lane's statistics, keeping cache contents. */
+    void resetStats();
+
+    /** Regroup the shared groups into one forest per line size. */
+    void buildForests();
+
+    /** Append the tasks that consume walked epoch @p buf on a team of
+     *  @p team workers to @p out: generic lanes, strict blocks, then
+     *  replays, costliest first. */
+    void consumeTasks(unsigned buf, std::size_t team,
+                      std::vector<Task> &out) const;
+
+    /** Add walked epoch @p buf of @p records records to the stats of
+     *  every forest member. */
+    void foldWalk(unsigned buf, std::size_t records);
+
     std::vector<LaneRef> lanes_;
     std::vector<lanes::SharedL1Group> sharedGroups_;
+    std::vector<lanes::L1Forest> forests_;
     std::vector<lanes::StrictLaneBlock> strictBlocks_;
     std::vector<std::unique_ptr<Hierarchy>> genericLanes_;
+    std::uint64_t tagProbes_ = 0;
     /**
      * Set once records have been driven; flat lanes added after that
      * point fall back to the generic path, because they would join a

@@ -262,6 +262,100 @@ StrictLaneBlock::addLane(const CacheParams &l2_params, std::uint64_t seed)
 }
 
 // ---------------------------------------------------------------------
+// L1Forest walk
+// ---------------------------------------------------------------------
+
+void
+walkForest(L1Forest &f, const TraceRecord *recs, std::size_t n,
+           unsigned buf)
+{
+    // Geometry, queue cursors and counters live in locals for the
+    // duration of the loop: stores to the tag words could alias the
+    // group fields as far as the compiler knows.
+    struct Level
+    {
+        std::uint64_t *entries;
+        std::uint32_t setMask;
+        L1Miss *queue; ///< null for a level without subs
+        std::size_t queued;
+        std::uint64_t imiss, dmiss, dirtyVictims;
+    };
+    // Distinct power-of-two set counts of 32-bit line numbers.
+    constexpr std::size_t kMaxLevels = 33;
+    const std::size_t nl = f.levels.size();
+    tlc_assert(nl <= kMaxLevels, "forest of %zu levels", nl);
+    Level lv[kMaxLevels];
+    for (std::size_t l = 0; l < nl; ++l) {
+        SharedL1Group &g = *f.levels[l];
+        MissQueue &queue = g.epochs[buf].queue;
+        tlc_assert(!g.hasSubs() || queue.capacity() >= n,
+                   "epoch of %zu records overflows a miss queue of %zu",
+                   n, queue.capacity());
+        lv[l] = {g.l1Entries.data(), g.setMask,
+                 g.hasSubs() ? queue.data() : nullptr, 0, 0, 0, 0};
+    }
+    constexpr std::uint64_t kDirtyVictim = kValid | kDirty;
+
+    const std::uint32_t line_shift = f.lineShift;
+    std::uint64_t instr = 0, probes = 0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const TraceRecord &r = recs[i];
+        const bool is_instr = r.type == RefType::Instr;
+        const std::uint64_t sd = r.type == RefType::Store ? kDirty : 0;
+        const std::size_t ibit = is_instr ? 0 : 1;
+        instr += is_instr;
+        const std::uint32_t line = r.addr >> line_shift;
+        const std::uint64_t want =
+            (static_cast<std::uint64_t>(line) << 2) | kValid;
+
+        std::size_t l = 0;
+        for (; l < nl; ++l) {
+            Level &v = lv[l];
+            const std::size_t idx =
+                (static_cast<std::size_t>(line & v.setMask) << 1) | ibit;
+            const std::uint64_t e = v.entries[idx];
+            if ((e & ~kDirty) == want) {
+                // Every larger level holds the line too; only this
+                // one records the store (see walkForest's contract).
+                if (sd)
+                    v.entries[idx] = e | kDirty;
+                break;
+            }
+            v.imiss += is_instr;
+            v.dmiss += !is_instr;
+            const std::uint32_t victim_line =
+                static_cast<std::uint32_t>(e >> 2);
+            const std::uint32_t victim_flags =
+                static_cast<std::uint32_t>(e & kDirtyVictim);
+            v.entries[idx] = want | sd;
+            if (victim_flags == kDirtyVictim) {
+                ++v.dirtyVictims;
+                if (l + 1 < nl) {
+                    Level &up = lv[l + 1];
+                    up.entries[(static_cast<std::size_t>(
+                                    victim_line & up.setMask)
+                                << 1) |
+                               ibit] |= kDirty;
+                }
+            }
+            if (v.queue)
+                v.queue[v.queued++] = {line, victim_line, victim_flags};
+        }
+        probes += l < nl ? l + 1 : nl;
+    }
+
+    for (std::size_t l = 0; l < nl; ++l) {
+        SharedL1Group::Epoch &ep = f.levels[l]->epochs[buf];
+        ep.misses = lv[l].queued;
+        ep.imiss = lv[l].imiss;
+        ep.dmiss = lv[l].dmiss;
+        ep.dirtyVictims = lv[l].dirtyVictims;
+    }
+    f.instrRefs[buf] = instr;
+    f.tagProbes += probes;
+}
+
+// ---------------------------------------------------------------------
 // Dispatch
 // ---------------------------------------------------------------------
 

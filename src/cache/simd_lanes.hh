@@ -9,23 +9,28 @@
  *
  *  - SharedL1Group: every lane sharing one direct-mapped L1 geometry
  *    — plain-inclusive and exclusive two-level lanes AND L1-only
- *    lanes — walks the trace through ONE simulated L1. L1-only
- *    members are bit-identical to each other (a direct-mapped cache
- *    has no replacement state), so they share a single stats block.
+ *    lanes — runs through ONE simulated L1. L1-only members are
+ *    bit-identical to each other (a direct-mapped cache has no
+ *    replacement state), so they share a single stats block.
  *    Two-level members differ only below the L1: neither policy ever
  *    moves L2 state into the L1 (an exclusive swap refills the L1
  *    with dirty = is_store, and the L2 copy keeps its own dirty bit),
- *    so the L1's contents are a pure function of the trace. The
- *    kernel records each L1 miss once (line, victim line, victim
- *    valid/dirty flags) in a miss queue and replays the queue per
- *    member L2, sub-major: each L2's tag state stays hot across a
- *    whole block of misses instead of being re-fetched per record,
- *    and the replay loop is where the vectorized L2 tag compare
- *    runs. Inclusive and exclusive members sit in separate lists,
- *    each replayed by its own instantiation of the loop. Replaying
- *    in record order per sub keeps every member's operation (and
- *    RNG draw) sequence identical to a solo run — subs are
- *    independent, so inter-sub order is unobservable.
+ *    so the L1's contents are a pure function of the trace.
+ *
+ *  - L1Forest: every SharedL1Group of one line size, walked together.
+ *    Direct-mapped L1s of one line size obey set-refinement inclusion,
+ *    so one walk probes them smallest first, stops at the first hit,
+ *    and records each level's misses (line, victim line, victim
+ *    valid/dirty flags) in that level's queue for one epoch of
+ *    records. The queues are replayed per member L2, sub-major: each
+ *    L2's tag state stays hot across a whole epoch of misses, and the
+ *    replay loop is where the vectorized L2 tag compare runs.
+ *    Inclusive and exclusive members sit in separate lists, each
+ *    replayed by its own instantiation of the loop. Replaying in
+ *    record order per sub keeps every member's operation (and RNG
+ *    draw) sequence identical to a solo run — subs are independent,
+ *    so inter-sub order is unobservable, and disjoint sub ranges may
+ *    replay on different threads.
  *
  *  - StrictLaneBlock: strict-inclusive lanes back-invalidate their L1
  *    on L2 eviction, so each needs a *private* L1 — but lanes with the
@@ -40,15 +45,17 @@
  *    (permutation-coded recency state, one table lookup per touch or
  *    fill instead of a stamp array scan) for 2..kLruFsmMaxWays ways.
  *
- * The kernels themselves are compiled once per SIMD backend in
+ * The replay and strict kernels are compiled once per SIMD backend in
  * dedicated translation units (simd_lanes_{scalar,avx2}.cc, each
  * including simd_lanes_body.inc inside its own namespace) so a binary
  * carries all of them and laneKernelsFor() dispatches at runtime on
- * util/simd.hh's activeSimdBackend(). The equivalence contract is
- * unchanged from sim_group.hh and backend-independent: every lane's
- * HierarchyStats must be byte-identical to a solo Hierarchy run,
- * including RNG victim draw sequences (tests/test_batch_engine.cc
- * enforces this differentially for every backend the host supports).
+ * util/simd.hh's activeSimdBackend(). The forest walk is scalar code
+ * (one tag word per level) and is compiled once, in simd_lanes.cc.
+ * The equivalence contract is unchanged from sim_group.hh and
+ * backend-independent: every lane's HierarchyStats must be
+ * byte-identical to a solo Hierarchy run, including RNG victim draw
+ * sequences (tests/test_batch_engine.cc enforces this differentially
+ * for every backend the host supports).
  */
 
 #ifndef TLC_CACHE_SIMD_LANES_HH
@@ -266,8 +273,8 @@ struct FlatCache
 };
 
 /**
- * One L1 miss recorded by a SharedL1Group walk, replayed against each
- * member L2 in record order.
+ * One L1 miss recorded by a forest walk, replayed against each member
+ * L2 of its level in record order.
  */
 struct L1Miss
 {
@@ -282,11 +289,77 @@ struct L1Miss
 };
 
 /**
- * All lanes sharing one direct-mapped L1 geometry whose L2 side (if
- * any) never reaches back into the L1: plain-inclusive and exclusive
+ * A fixed-capacity array of L1 misses whose pages are mapped on first
+ * write. An epoch's queue must hold one entry per record in the worst
+ * case, but a level misses on a few percent of its records, so the
+ * worst case costs address space and the misses cost memory.
+ */
+class MissQueue
+{
+  public:
+    MissQueue() = default;
+    MissQueue(const MissQueue &) = delete;
+    MissQueue &operator=(const MissQueue &) = delete;
+    MissQueue(MissQueue &&o) noexcept
+        : data_(std::exchange(o.data_, nullptr)),
+          capacity_(std::exchange(o.capacity_, 0))
+    {
+    }
+    MissQueue &operator=(MissQueue &&o) noexcept
+    {
+        std::swap(data_, o.data_);
+        std::swap(capacity_, o.capacity_);
+        return *this;
+    }
+    ~MissQueue() { release(); }
+
+    /** Make room for @p n entries; the contents are not kept. */
+    void reserve(std::size_t n)
+    {
+        if (n <= capacity_)
+            return;
+        release();
+#if defined(TLC_TAG_ALLOC_HAVE_MMAP)
+        void *p = ::mmap(nullptr, n * sizeof(L1Miss),
+                         PROT_READ | PROT_WRITE,
+                         MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (p == MAP_FAILED)
+            throw std::bad_alloc();
+        data_ = static_cast<L1Miss *>(p);
+#else
+        data_ = static_cast<L1Miss *>(::operator new(n * sizeof(L1Miss)));
+#endif
+        capacity_ = n;
+    }
+
+    L1Miss *data() const { return data_; }
+    std::size_t capacity() const { return capacity_; }
+
+  private:
+    void release()
+    {
+        if (data_ == nullptr)
+            return;
+#if defined(TLC_TAG_ALLOC_HAVE_MMAP)
+        ::munmap(data_, capacity_ * sizeof(L1Miss));
+#else
+        ::operator delete(data_);
+#endif
+        data_ = nullptr;
+        capacity_ = 0;
+    }
+
+    L1Miss *data_ = nullptr;
+    std::size_t capacity_ = 0;
+};
+
+/**
+ * All lanes over one direct-mapped L1 geometry whose L2 side (if any)
+ * never reaches back into the L1: plain-inclusive and exclusive
  * two-level lanes as subs, L1-only lanes as a shared member count.
  * The L1 tag state is split-interleaved ([set*2] = I, [set*2+1] = D)
- * exactly as the solo hierarchies see it.
+ * exactly as the solo hierarchies see it. A group is one level of
+ * its line size's L1Forest, which walks it.
  */
 struct SharedL1Group
 {
@@ -318,11 +391,58 @@ struct SharedL1Group
     std::size_t singleMembers = 0;
     HierarchyStats singleStats;
 
-    /** Per-block L1 miss queue, reused across blocks. */
-    std::vector<L1Miss> missQueue;
+    /** What one walk of one epoch left for this level: the misses
+     *  its subs replay and the counts every member adds up. */
+    struct Epoch
+    {
+        MissQueue queue;        ///< filled only when subs exist
+        std::size_t misses = 0; ///< entries in queue
+        std::uint64_t imiss = 0;
+        std::uint64_t dmiss = 0;
+        std::uint64_t dirtyVictims = 0;
+    };
+    /** Double buffer: the walk fills one while the subs replay the
+     *  other (SimGroup::simulate). */
+    Epoch epochs[2];
 
     explicit SharedL1Group(const CacheParams &p);
+
+    bool hasSubs() const { return !subs.empty() || !exclusiveSubs.empty(); }
 };
+
+/**
+ * Every SharedL1Group of one line size, smallest first. With one line
+ * size and bit-selection indexing, a direct-mapped cache of 2^k sets
+ * holds a subset of what any larger one holds (set-refinement
+ * inclusion: Hill & Smith, IEEE TC 1989), so a reference that hits
+ * one level hits every larger one, and a single walk that stops at
+ * the first hit serves every size.
+ */
+struct L1Forest
+{
+    std::uint32_t lineShift = 0;
+    std::vector<SharedL1Group *> levels; ///< ascending set count
+    std::uint64_t instrRefs[2] = {};     ///< per epoch buffer
+    /** L1 tag words read by every walk so far. */
+    std::uint64_t tagProbes = 0;
+};
+
+/**
+ * Walk @p n records through every level of @p f into epoch buffer
+ * @p buf. Each record probes the levels smallest first and stops at
+ * the first hit. A store that hits dirties only the level it hit; a
+ * level that evicts a dirty victim ORs kDirty into the victim's tag
+ * word one level up, which inclusion guarantees holds the line. A
+ * line's dirty bit at one level is therefore the OR over the levels
+ * at and below it that hold the line, which is what a solo walk of
+ * that level would hold when it evicts the line — so every level gets
+ * exactly its solo walk's misses, victims and counts.
+ */
+void walkForest(L1Forest &f, const TraceRecord *recs, std::size_t n,
+                unsigned buf);
+
+/** Widest sub interleave one replay pass covers (replaySubs). */
+constexpr std::size_t kReplayInterleave = 8;
 
 /**
  * Up to kMaxBlockLanes strict-inclusive lanes sharing one
@@ -361,18 +481,17 @@ struct StrictLaneBlock
 };
 
 /**
- * The kernel entry points one backend TU exports. runShared applies
- * @p n records to an ARRAY of groups — the record stream is decoded
- * once per fused bundle of groups instead of once per group, then
- * each group's miss queue is replayed in turn — and runStrict applies
- * them to one interleaved block; both accumulate stats exactly as the
- * solo hierarchies would.
+ * The kernel entry points one backend TU exports. replay applies one
+ * walked epoch (buffer @p buf) of a level to its subs [lo, hi) of one
+ * policy, at most kReplayInterleave of them per pass; runStrict
+ * applies @p n records to one interleaved block. Both accumulate
+ * stats exactly as the solo hierarchies would.
  */
 struct LaneKernels
 {
     SimdBackend backend;
-    void (*runShared)(SharedL1Group *, std::size_t, const TraceRecord *,
-                      std::size_t);
+    void (*replay)(SharedL1Group &, bool exclusive, std::size_t lo,
+                   std::size_t hi, unsigned buf);
     void (*runStrict)(StrictLaneBlock &, const TraceRecord *, std::size_t);
 };
 

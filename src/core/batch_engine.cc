@@ -5,6 +5,8 @@
 
 #include "batch_engine.hh"
 
+#include <algorithm>
+
 #include "util/metrics.hh"
 #include "util/profiler.hh"
 
@@ -19,6 +21,7 @@ struct BatchMetrics
     MetricCounter &lanes;
     MetricCounter &fastLanes;
     MetricCounter &genericLanes;
+    MetricCounter &tagProbes;
 
     static BatchMetrics &get()
     {
@@ -28,6 +31,7 @@ struct BatchMetrics
             MetricsRegistry::global().counter("explore.batch.fast_lanes"),
             MetricsRegistry::global().counter(
                 "explore.batch.generic_lanes"),
+            MetricsRegistry::global().counter("cache.l1.tag_probes"),
         };
         return m;
     }
@@ -40,12 +44,10 @@ BatchEngine::run(const TraceBuffer &trace, std::uint64_t warmup_refs,
                  SimGroup &group)
 {
     const auto &recs = trace.records();
-    std::uint64_t n = recs.size();
-    std::uint64_t warm = warmup_refs < n ? warmup_refs : n;
-    group.accessRange(recs.data(), static_cast<std::size_t>(warm));
-    group.resetStats();
-    group.accessRange(recs.data() + warm,
-                      static_cast<std::size_t>(n - warm));
+    const std::uint64_t warm = std::min<std::uint64_t>(warmup_refs,
+                                                       recs.size());
+    group.simulate(recs.data(), recs.size(),
+                   static_cast<std::size_t>(warm));
 }
 
 BatchEngine::Result
@@ -83,6 +85,7 @@ BatchEngine::simulateConfigs(const TraceBuffer &trace,
     m.lanes.inc(group.laneCount());
     m.fastLanes.inc(r.flatLanes);
     m.genericLanes.inc(r.genericLanes);
+    m.tagProbes.inc(group.l1TagProbes());
     return r;
 }
 

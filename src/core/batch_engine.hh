@@ -16,8 +16,9 @@
  * changing any figure.
  *
  * Instrumentation: each call is timed under the "sim.batch" profiler
- * phase and counted in the explore.batch.* metrics (groups, lanes,
- * how many lanes ran on the flat fast path).
+ * phase and counted in the explore.batch.* metrics (groups — one per
+ * call — lanes, how many lanes ran on the flat fast path), and the
+ * L1 tag words its forest walks read in cache.l1.tag_probes.
  */
 
 #ifndef TLC_CORE_BATCH_ENGINE_HH
@@ -54,7 +55,8 @@ class BatchEngine
      * Drive @p trace through @p group: the first @p warmup_refs
      * records warm every lane, statistics cover the rest — exactly
      * Hierarchy::simulate's contract, applied to all lanes in one
-     * trace pass.
+     * trace pass (SimGroup::simulate, which spreads the pass over the
+     * parallelFor team).
      */
     static void run(const TraceBuffer &trace, std::uint64_t warmup_refs,
                     SimGroup &group);

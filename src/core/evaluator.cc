@@ -87,7 +87,12 @@ MissRateEvaluator::MissRateEvaluator(EvaluatorOptions options)
 
 MissRateEvaluator::MissRateEvaluator(std::uint64_t trace_refs,
                                      double warmup_fraction)
-    : MissRateEvaluator(EvaluatorOptions{trace_refs, warmup_fraction, {}})
+    : MissRateEvaluator([&] {
+          EvaluatorOptions o;
+          o.traceRefs = trace_refs;
+          o.warmupFraction = warmup_fraction;
+          return o;
+      }())
 {
 }
 

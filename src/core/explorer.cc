@@ -10,7 +10,6 @@
 #include <chrono>
 #include <cstdio>
 #include <optional>
-#include <span>
 #include <sstream>
 
 #include "util/logging.hh"
@@ -49,65 +48,29 @@ struct ExploreMetrics
 };
 
 /**
- * Configurations per worker batch. Each batch's memo-missing
- * configs simulate as lanes of one trace pass; capping the batch
- * bounds the lane state resident at once and leaves enough batches
- * to keep the worker team fed.
+ * Configurations per pricing batch. A sweep simulates as one SimGroup
+ * (which spreads its pass over the team itself), so batches only
+ * split the pricing — and, for a sweep whose statistics come from
+ * forked shards, the fetching — across the worker team.
  */
 constexpr std::size_t kMaxBatchConfigs = 32;
 
-/** Do @p a and @p b share one simulated L1 when batched together? */
-bool
-sameL1(const SystemConfig &a, const SystemConfig &b)
-{
-    return a.l1Bytes == b.l1Bytes &&
-        a.assume.lineBytes == b.assume.lineBytes &&
-        a.assume.l1Assoc == b.assume.l1Assoc;
-}
-
 /**
- * Contiguous batches for a sweep over @p configs on @p workers
- * workers: batch i is [bounds[i], bounds[i + 1]).
- *
- * A batch's cost is one L1 walk per distinct L1 geometry plus, per
- * two-level lane, a replay of that L1's misses, so a small L1 with
- * many L2 sizes behind it costs several times a large one. One
- * equal-count batch per worker therefore left a third of a
- * design-space sweep on one worker while the rest sat idle, and the
- * sweep's wall clock rode on that one worker's share of the host.
- * Instead each run of consecutive configs sharing an L1 is a batch,
- * cut into near-equal pieces when it holds more than half a
- * worker's share (the only L1 walks repeated). The team pulls
- * batches in order, so the costly small-L1 batches of a design-space
- * sweep start first and the cheap ones fill in behind them.
- *
- * One worker has nothing to balance and keeps kMaxBatchConfigs-sized
- * chunks, the split a supervised sweep gives its forked shards by
- * default (SupervisorOptions::pointsPerShard), so the two do
- * identical simulation work.
+ * Contiguous batches of @p n configs on @p workers workers: batch i
+ * is [bounds[i], bounds[i + 1]). Two per worker, at most
+ * kMaxBatchConfigs each, so a slow worker leaves little behind.
  */
 std::vector<std::size_t>
-batchBounds(const std::vector<SystemConfig> &configs, std::size_t workers)
+batchBounds(std::size_t n, std::size_t workers)
 {
-    const std::size_t n = configs.size();
+    const std::size_t per =
+        workers <= 1 ? kMaxBatchConfigs
+                     : std::clamp<std::size_t>(
+                           (n + 2 * workers - 1) / (2 * workers), 1,
+                           kMaxBatchConfigs);
     std::vector<std::size_t> bounds{0};
-    if (workers <= 1) {
-        for (std::size_t lo = 0; lo < n; lo += kMaxBatchConfigs)
-            bounds.push_back(std::min(lo + kMaxBatchConfigs, n));
-        return bounds;
-    }
-    const std::size_t cap = std::clamp<std::size_t>(
-        (n + 2 * workers - 1) / (2 * workers), 1, kMaxBatchConfigs);
-    for (std::size_t lo = 0; lo < n;) {
-        std::size_t hi = lo + 1;
-        while (hi < n && sameL1(configs[hi], configs[lo]))
-            ++hi;
-        const std::size_t run = hi - lo;
-        const std::size_t pieces = (run + cap - 1) / cap;
-        for (std::size_t k = 1; k <= pieces; ++k)
-            bounds.push_back(lo + run * k / pieces);
-        lo = hi;
-    }
+    for (std::size_t lo = 0; lo < n; lo += per)
+        bounds.push_back(std::min(lo + per, n));
     return bounds;
 }
 
@@ -399,9 +362,9 @@ Explorer::sweepBatches(Benchmark b, const std::vector<SystemConfig> &configs,
     ExploreMetrics::get().sweeps.inc();
 
     // Observability plumbing, all inert unless switched on: the
-    // trace-event recorder adds one slice per in-process simulation
-    // batch plus one per design point on the pricing worker's track,
-    // and the progress callback fires on a throttle as points
+    // trace-event recorder adds one slice for the sweep's in-process
+    // simulation plus one per design point on the pricing worker's
+    // track, and the progress callback fires on a throttle as points
     // complete. Neither affects results — the output/report ordering
     // below stays byte-identical to serial.
     TraceEventRecorder *recorder = TraceEventRecorder::active();
@@ -447,62 +410,55 @@ Explorer::sweepBatches(Benchmark b, const std::vector<SystemConfig> &configs,
         progress(sp);
     };
 
-    // Benchmark-major batching: the configuration list is split into
-    // contiguous batches (batchBounds), each batch's memo-missing
-    // configs simulate as lanes of one trace pass, and batches
-    // distribute across the worker team. Batch shape cannot affect
-    // results — every lane carries its own tag state and replacement
-    // RNG stream, exactly as a standalone Hierarchy would — so the
-    // sweep stays byte-identical to the point-major path whatever
-    // the worker count. Each index writes only its own slots;
-    // collecting results and failures after the join, in input-index
-    // order, keeps the output deterministic. A BatchStats source
-    // slots in for the simulation and leaves everything else —
-    // batching, pricing in the worker team, collection — exactly as
-    // it is.
+    // Benchmark-major: the sweep's memo-missing configs simulate as
+    // lanes of ONE SimGroup, whose pass spreads over the worker team
+    // by epoch (cache/sim_group.hh), so each line size's L1s are
+    // walked once per sweep. Pricing then runs in contiguous batches
+    // across the team; a BatchStats source slots in for the
+    // simulation per batch and leaves everything else as it is.
+    // Lanes are fully independent and each index writes only its own
+    // slot, so the results, collected after the join in input-index
+    // order, are byte-identical to the point-major path whatever the
+    // worker count.
     const std::size_t n = configs.size();
+    std::vector<Expected<HierarchyStats>> simulated;
+    if (!stats) {
+        auto begin = recorder ? TraceEventRecorder::Clock::now()
+                              : TraceEventRecorder::Clock::time_point{};
+        simulated = evaluator_.tryMissStatsBatch(b, configs);
+        if (recorder) {
+            recorder->complete(
+                std::string(benchName) + " sweep", "sim-batch", begin,
+                TraceEventRecorder::Clock::now(), parallelWorkerId(),
+                std::string("{\"benchmark\": \"") + benchName +
+                    "\", \"first\": 0, \"count\": " +
+                    std::to_string(n) + "}");
+        }
+    }
     const std::vector<std::size_t> bounds =
-        batchBounds(configs, parallelWorkerCount());
+        batchBounds(n, parallelWorkerCount());
 
     std::vector<std::optional<Expected<DesignPoint>>> slots(n);
     parallelFor(bounds.size() - 1, [&](std::size_t bi) {
         const std::size_t lo = bounds[bi];
         const std::size_t hi = bounds[bi + 1];
-        std::vector<Expected<HierarchyStats>> miss;
+        std::vector<Expected<HierarchyStats>> fetched;
         if (stats) {
-            miss = stats(lo, hi);
-        } else {
-            auto bbegin = recorder
-                              ? TraceEventRecorder::Clock::now()
-                              : TraceEventRecorder::Clock::time_point{};
-            miss = evaluator_.tryMissStatsBatch(
-                b, std::span<const SystemConfig>(configs).subspan(
-                       lo, hi - lo));
-            if (recorder) {
-                recorder->complete(
-                    std::string(benchName) + " batch " +
-                        std::to_string(bi),
-                    "sim-batch", bbegin,
-                    TraceEventRecorder::Clock::now(), parallelWorkerId(),
-                    std::string("{\"benchmark\": \"") + benchName +
-                        "\", \"first\": " + std::to_string(lo) +
-                        ", \"count\": " + std::to_string(hi - lo) +
-                        "}");
-            }
+            fetched = stats(lo, hi);
+            tlc_assert(fetched.size() == hi - lo,
+                       "batch [%zu, %zu) returned %zu results", lo, hi,
+                       fetched.size());
         }
-        tlc_assert(miss.size() == hi - lo,
-                   "batch [%zu, %zu) returned %zu results", lo, hi,
-                   miss.size());
         for (std::size_t i = lo; i < hi; ++i) {
+            const Expected<HierarchyStats> &miss =
+                stats ? fetched[i - lo] : simulated[i];
             auto begin = recorder
                              ? TraceEventRecorder::Clock::now()
                              : TraceEventRecorder::Clock::time_point{};
-            if (miss[i - lo].ok()) {
-                slots[i].emplace(
-                    pricePoint(configs[i], miss[i - lo].value()));
+            if (miss.ok()) {
+                slots[i].emplace(pricePoint(configs[i], miss.value()));
             } else {
-                slots[i].emplace(
-                    Expected<DesignPoint>(miss[i - lo].status()));
+                slots[i].emplace(Expected<DesignPoint>(miss.status()));
             }
             if (recorder) {
                 recorder->complete(

@@ -10,18 +10,18 @@
  * complete — one corrupt trace byte must not abort a multi-hour
  * multi-hundred-point run.
  *
- * Sweeps are benchmark-major and batched: evaluateAll() partitions
- * the configuration list into contiguous batches, distributes the
- * batches across the parallelFor worker team (util/parallel.hh;
- * TLC_THREADS or --threads control the width), and simulates each
- * batch's memo-missing configurations in ONE pass over the benchmark
- * trace via MissRateEvaluator::tryMissStatsBatch — instead of
- * re-walking the trace once per design point. Results are
+ * Sweeps are benchmark-major: evaluateAll() simulates a sweep's
+ * memo-missing configurations in ONE pass over the benchmark trace
+ * via MissRateEvaluator::tryMissStatsBatch — one SimGroup, whose
+ * pass spreads over the parallelFor worker team by epoch
+ * (util/parallel.hh; TLC_THREADS or --threads control the width) —
+ * instead of re-walking the trace once per design point, then prices
+ * the points in contiguous batches across the team. Results are
  * deterministic: simulation lanes are fully independent, and the
  * output vector, the envelope, and the FailureReport are ordered by
  * input index regardless of batch shape or worker completion order,
- * so a batched parallel sweep produces byte-identical figure data to
- * a serial point-major one (enforced by
+ * so a parallel sweep produces byte-identical figure data to a
+ * serial point-major one (enforced by
  * tests/test_parallel_differential.cc and tests/test_batch_engine.cc).
  */
 
@@ -224,10 +224,11 @@ class Explorer
 
     /**
      * Price an explicit configuration list benchmark-major: the
-     * list is split into contiguous batches, batches run across the
-     * parallelFor worker team, and each batch's memo-missing
-     * configurations share one pass over the benchmark trace
-     * (tryMissStatsBatch) unless @p stats supplies the batch. The
+     * memo-missing configurations share one pass over the benchmark
+     * trace (tryMissStatsBatch) unless @p stats supplies their
+     * statistics, then the list is priced in contiguous batches
+     * across the parallelFor worker team, each batch fetching its
+     * statistics from @p stats when given. The
      * output vector is ordered by input index whatever the batch
      * shape, and with @p report, failed points are recorded there in
      * input order and skipped (fail-soft); without it, a failure is

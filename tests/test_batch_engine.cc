@@ -18,7 +18,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -29,6 +31,7 @@
 #include "core/batch_engine.hh"
 #include "core/explorer.hh"
 #include "util/parallel.hh"
+#include "util/random.hh"
 #include "util/simd.hh"
 #include "util/units.hh"
 
@@ -498,6 +501,214 @@ TEST(SimdBackendDifferential, ExclusiveLanesMatchSoloAcrossL2Shapes)
             }
         }
     }
+}
+
+// ---------------------------------------------------------------
+// Forest walk: every direct-mapped L1 size of one line size is
+// walked at once (lanes::walkForest), pipelined by epoch across the
+// worker team (SimGroup::simulate).
+// ---------------------------------------------------------------
+
+namespace {
+
+/** One lane of a randomized forest case. */
+struct LaneSpec
+{
+    CacheParams l1;
+    bool twoLevel = false;
+    CacheParams l2;
+    TwoLevelPolicy policy = TwoLevelPolicy::Inclusive;
+};
+
+HierarchyStats
+soloLane(const LaneSpec &s, const TraceBuffer &t, std::uint64_t warmup)
+{
+    std::unique_ptr<Hierarchy> h;
+    if (s.twoLevel)
+        h = std::make_unique<TwoLevelHierarchy>(s.l1, s.l2, s.policy);
+    else
+        h = std::make_unique<SingleLevelHierarchy>(s.l1);
+    h->simulate(t, warmup);
+    return h->stats();
+}
+
+/**
+ * Every lane of @p specs in one SimGroup, at team widths 1 and 4 and
+ * on every runnable backend, against its solo Hierarchy.
+ */
+void
+expectGroupMatchesSolo(const std::vector<LaneSpec> &specs,
+                       const TraceBuffer &t, std::uint64_t warmup)
+{
+    std::vector<HierarchyStats> refs;
+    for (const LaneSpec &s : specs)
+        refs.push_back(soloLane(s, t, warmup));
+    const unsigned prev = parallelWorkerOverride();
+    for (unsigned width : {1u, 4u}) {
+        setParallelWorkerCount(width);
+        for (SimdBackend backend : runnableBackends()) {
+            SCOPED_TRACE(std::string(simdBackendName(backend)) +
+                         ", width " + std::to_string(width));
+            BackendGuard guard(backend);
+            SimGroup group;
+            for (const LaneSpec &s : specs) {
+                if (s.twoLevel)
+                    group.addTwoLevel(s.l1, s.l2, s.policy);
+                else
+                    group.addSingleLevel(s.l1);
+            }
+            EXPECT_EQ(group.flatLaneCount(), specs.size());
+            BatchEngine::run(t, warmup, group);
+            for (std::size_t i = 0; i < specs.size(); ++i) {
+                SCOPED_TRACE("lane " + std::to_string(i) + ": L1 " +
+                             specs[i].l1.toString() +
+                             (specs[i].twoLevel
+                                  ? ", L2 " + specs[i].l2.toString() +
+                                        " " +
+                                        twoLevelPolicyName(specs[i].policy)
+                                  : std::string()));
+                expectSameStats(group.stats(i), refs[i]);
+            }
+        }
+    }
+    setParallelWorkerCount(prev);
+}
+
+/**
+ * A seeded trace: a mostly sequential instruction stream with jumps,
+ * a hot 8 KiB data region and a scattered 1 MiB one, with
+ * @p store_pct percent of the data references stores.
+ */
+TraceBuffer
+randomTrace(Pcg32 &rng, std::size_t n, std::uint32_t store_pct)
+{
+    TraceBuffer t;
+    t.reserve(n);
+    std::uint32_t pc = 0x10000;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::uint32_t kind = rng.nextBounded(100);
+        if (kind < 40) {
+            pc = rng.nextBounded(12) == 0
+                ? 0x10000 + 4 * rng.nextBounded(1u << 13)
+                : pc + 4;
+            t.append(pc, RefType::Instr);
+            continue;
+        }
+        const std::uint32_t addr = kind < 80
+            ? 0x400000 + 4 * rng.nextBounded(1u << 11)
+            : 0x800000 + 4 * rng.nextBounded(1u << 18);
+        t.append(addr, rng.nextBounded(100) < store_pct ? RefType::Store
+                                                         : RefType::Load);
+    }
+    return t;
+}
+
+} // namespace
+
+TEST(ForestDifferential, RandomForestsMatchSoloAtEveryWidthAndBackend)
+{
+    // Random subsets of L1 sizes (adjacent or not) per line size, one
+    // or two line sizes per group, every lane flavour that shares or
+    // sits beside a forest, store-heavy traces, and trace lengths and
+    // warmups that cut epochs anywhere.
+    constexpr std::uint64_t kCases = 10;
+    const std::uint32_t lines[] = {4, 8, 16, 32, 64, 128, 256};
+    const ReplPolicy repls[] = {ReplPolicy::Random, ReplPolicy::LRU,
+                                ReplPolicy::FIFO};
+    const TwoLevelPolicy policies[] = {TwoLevelPolicy::Inclusive,
+                                       TwoLevelPolicy::Exclusive,
+                                       TwoLevelPolicy::StrictInclusive};
+    for (std::uint64_t seed = 1; seed <= kCases; ++seed) {
+        SCOPED_TRACE("seed " + std::to_string(seed));
+        Pcg32 rng(seed, 0xf0e57);
+        // Odd cases span a few epochs (65,536 records each), even
+        // ones fit in one.
+        const std::size_t n = seed % 2
+            ? 65536 + 1 + rng.nextBounded(90000)
+            : 1000 + rng.nextBounded(20000);
+        const std::uint64_t warmup = seed == 2 ? 0
+            : seed == 4                        ? n + 3
+                                               : rng.nextBounded(
+                                                     static_cast<std::uint32_t>(n));
+        const TraceBuffer t = randomTrace(rng, n, 30 + rng.nextBounded(50));
+
+        std::vector<LaneSpec> specs;
+        const std::size_t line_sizes = 1 + seed % 2;
+        for (std::size_t ls = 0; ls < line_sizes; ++ls) {
+            const std::uint32_t line = lines[rng.nextBounded(7)];
+            std::vector<std::uint64_t> sizes;
+            for (std::uint64_t size = std::max<std::uint64_t>(line, 256);
+                 size <= 32_KiB; size *= 2) {
+                if (rng.nextBounded(5) < 2)
+                    sizes.push_back(size);
+            }
+            if (sizes.empty())
+                sizes.push_back(4_KiB);
+            for (std::uint64_t size : sizes) {
+                LaneSpec s;
+                s.l1.sizeBytes = size;
+                s.l1.lineBytes = line;
+                if (rng.nextBounded(2) == 0)
+                    specs.push_back(s);
+                for (std::uint32_t k = rng.nextBounded(3); k > 0; --k) {
+                    s.twoLevel = true;
+                    s.policy = policies[rng.nextBounded(3)];
+                    s.l2.lineBytes = line;
+                    s.l2.assoc = 1u << rng.nextBounded(4);
+                    s.l2.repl = repls[rng.nextBounded(3)];
+                    // Exclusive L2s may be smaller than their L1.
+                    const int shift = static_cast<int>(rng.nextBounded(5)) -
+                        (s.policy == TwoLevelPolicy::Exclusive ? 1 : 0);
+                    s.l2.sizeBytes = std::max<std::uint64_t>(
+                        shift < 0 ? size / 2 : size << shift,
+                        std::uint64_t{line} * s.l2.assoc);
+                    specs.push_back(s);
+                }
+            }
+        }
+        if (specs.empty()) {
+            LaneSpec s;
+            s.l1.sizeBytes = 1_KiB;
+            specs.push_back(s);
+        }
+        expectGroupMatchesSolo(specs, t, warmup);
+    }
+}
+
+TEST(ForestDifferential, StoreHitInSmallL1WritesBackFromLargerL1)
+{
+    // A store that hits the smallest L1 dirties only that level. The
+    // line must still leave each larger L1 dirty: 1 KiB evicts it
+    // first, 4 KiB next and 16 KiB (not adjacent to 1 KiB) last, each
+    // with an off-chip write-back when it has no L2 behind it.
+    TraceBuffer t;
+    for (std::uint32_t a : {0x0u, 0x40000u, 0x80030u}) {
+        t.append(a, RefType::Load);                // A everywhere
+        t.append(a, RefType::Store);               // hits 1 KiB
+        t.append(a + 1_KiB, RefType::Load);        // 1 KiB evicts A
+        t.append(a + 4_KiB, RefType::Load);        // 4 KiB evicts A
+        t.append(a + 16_KiB, RefType::Load);       // 16 KiB evicts A
+    }
+    std::vector<LaneSpec> specs;
+    for (std::uint64_t size : {1_KiB, 4_KiB, 16_KiB}) {
+        LaneSpec s;
+        s.l1.sizeBytes = size;
+        specs.push_back(s);
+        s.twoLevel = true;
+        s.l2.sizeBytes = 32_KiB;
+        for (TwoLevelPolicy p :
+             {TwoLevelPolicy::Inclusive, TwoLevelPolicy::Exclusive}) {
+            s.policy = p;
+            specs.push_back(s);
+        }
+    }
+    for (const LaneSpec &s : specs) {
+        if (!s.twoLevel) {
+            EXPECT_EQ(soloLane(s, t, 0).offchipWritebacks, 3u)
+                << s.l1.toString();
+        }
+    }
+    expectGroupMatchesSolo(specs, t, 0);
 }
 
 TEST(BatchEngine, SimulateConfigsReportsLaneSplit)

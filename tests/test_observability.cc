@@ -454,54 +454,64 @@ TEST(Progress, SweepSlicesLandOnTheActiveRecorder)
     EXPECT_NE(json.find("\"cat\": \"sim-batch\""), std::string::npos);
 }
 
-TEST(SweepBatching, FourWorkersCutTheDesignSpaceAtL1Boundaries)
+TEST(SweepBatching, EachSweepSimulatesAsOneGroupAtEveryWidth)
 {
-    // The 45-point design space on 4 workers: every batch holds one
-    // L1 size, and only runs longer than ceil(45 / 8) = 6 configs
-    // (the 9, 8 and 7 L2 sizes behind the 1K, 2K and 4K L1s) are cut
-    // in two, so the sim-batch slices are exactly 12.
+    // A sweep's configs simulate as ONE SimGroup, whatever the team
+    // width — one forest walk per line size instead of one L1 walk
+    // per batch — so the 45-point design space leaves exactly one
+    // sim-batch slice covering the whole list and one explore.batch
+    // group, and its points are the one-worker sweep's points.
     const unsigned prev = parallelWorkerOverride();
-    setParallelWorkerCount(4);
-    MissRateEvaluator ev(2000);
-    Explorer ex(ev);
-    TraceEventRecorder rec;
-    TraceEventRecorder::setActive(&rec);
     SystemAssumptions a;
-    auto points = ex.sweep(Benchmark::Gcc1, a, true, true);
-    TraceEventRecorder::setActive(nullptr);
-    setParallelWorkerCount(prev);
     const std::vector<SystemConfig> configs =
         DesignSpace::enumerate(a, true, true);
-    ASSERT_EQ(points.size(), configs.size());
+    MetricCounter &groups =
+        MetricsRegistry::global().counter("explore.batch.groups");
+    std::vector<std::vector<DesignPoint>> runs;
+    for (unsigned width : {1u, 4u}) {
+        SCOPED_TRACE("width " + std::to_string(width));
+        setParallelWorkerCount(width);
+        MissRateEvaluator ev(2000);
+        Explorer ex(ev);
+        TraceEventRecorder rec;
+        const std::uint64_t groups0 = groups.value();
+        TraceEventRecorder::setActive(&rec);
+        runs.push_back(ex.sweep(Benchmark::Gcc1, a, true, true));
+        TraceEventRecorder::setActive(nullptr);
+        EXPECT_EQ(groups.value() - groups0, 1u);
+        ASSERT_EQ(runs.back().size(), configs.size());
 
-    std::ostringstream os;
-    rec.write(os);
-    Expected<JsonValue> doc = jsonParse(os.str());
-    ASSERT_TRUE(doc.ok());
-    std::vector<std::pair<std::size_t, std::size_t>> batches;
-    for (const JsonValue &e : doc.value().find("traceEvents")->items()) {
-        const JsonValue *cat = e.find("cat");
-        if (cat == nullptr || cat->str() != "sim-batch")
-            continue;
-        const JsonValue *args = e.find("args");
-        batches.emplace_back(
-            static_cast<std::size_t>(args->find("first")->number()),
-            static_cast<std::size_t>(args->find("count")->number()));
-    }
-    std::sort(batches.begin(), batches.end());
-    EXPECT_EQ(batches.size(), 12u);
-    std::size_t next = 0;
-    for (const auto &[first, count] : batches) {
-        EXPECT_EQ(first, next);
-        EXPECT_GE(count, 1u);
-        EXPECT_LE(count, 6u);
-        for (std::size_t i = first; i < first + count; ++i) {
-            EXPECT_EQ(configs[i].l1Bytes, configs[first].l1Bytes)
-                << "batch at " << first;
+        std::ostringstream os;
+        rec.write(os);
+        Expected<JsonValue> doc = jsonParse(os.str());
+        ASSERT_TRUE(doc.ok());
+        std::vector<std::pair<std::size_t, std::size_t>> batches;
+        for (const JsonValue &e :
+             doc.value().find("traceEvents")->items()) {
+            const JsonValue *cat = e.find("cat");
+            if (cat == nullptr || cat->str() != "sim-batch")
+                continue;
+            const JsonValue *args = e.find("args");
+            batches.emplace_back(
+                static_cast<std::size_t>(args->find("first")->number()),
+                static_cast<std::size_t>(args->find("count")->number()));
         }
-        next = first + count;
+        ASSERT_EQ(batches.size(), 1u);
+        EXPECT_EQ(batches[0].first, 0u);
+        EXPECT_EQ(batches[0].second, configs.size());
     }
-    EXPECT_EQ(next, configs.size());
+    setParallelWorkerCount(prev);
+    for (std::size_t i = 0; i < configs.size(); ++i) {
+        SCOPED_TRACE(configs[i].label());
+        const HierarchyStats &one = runs[0][i].miss;
+        const HierarchyStats &four = runs[1][i].miss;
+        EXPECT_EQ(one.l1iMisses, four.l1iMisses);
+        EXPECT_EQ(one.l1dMisses, four.l1dMisses);
+        EXPECT_EQ(one.l2Hits, four.l2Hits);
+        EXPECT_EQ(one.l2Misses, four.l2Misses);
+        EXPECT_EQ(one.offchipWritebacks, four.offchipWritebacks);
+        EXPECT_EQ(runs[0][i].tpi.tpi, runs[1][i].tpi.tpi);
+    }
 }
 
 // ------------------------------------------------------------ manifest

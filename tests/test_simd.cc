@@ -151,13 +151,13 @@ TEST(SimdDispatch, LaneKernelsExistForEverySupportedBackend)
             continue;
         const lanes::LaneKernels &k = lanes::laneKernelsFor(b);
         EXPECT_EQ(k.backend, b) << simdBackendName(b);
-        EXPECT_NE(k.runShared, nullptr);
+        EXPECT_NE(k.replay, nullptr);
         EXPECT_NE(k.runStrict, nullptr);
     }
     // Distinct backends dispatch to distinct kernel code.
     if (simdBackendSupported(SimdBackend::Avx2)) {
-        EXPECT_NE(lanes::laneKernelsFor(SimdBackend::Scalar).runShared,
-                  lanes::laneKernelsFor(SimdBackend::Avx2).runShared);
+        EXPECT_NE(lanes::laneKernelsFor(SimdBackend::Scalar).replay,
+                  lanes::laneKernelsFor(SimdBackend::Avx2).replay);
     }
 }
 

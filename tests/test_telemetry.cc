@@ -24,7 +24,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -104,6 +106,13 @@ struct RunOutput
     std::vector<ShardTimeline> timeline;
 };
 
+/**
+ * The in-process sweep, simulated over the supervisor's 32-config
+ * shard slices: each slice is one tryMissStatsBatch call, as in a
+ * worker, and the explorer prices the whole list from them once, as
+ * the supervisor's parent does. So both sides do identical
+ * simulation and pricing work, and every counter must agree.
+ */
 RunOutput
 runInProcess(const std::vector<SystemConfig> &configs)
 {
@@ -112,8 +121,22 @@ runInProcess(const std::vector<SystemConfig> &configs)
     MissRateEvaluator ev(std::move(opts));
     Explorer ex(ev);
     FailureReport report;
+    std::vector<Expected<HierarchyStats>> miss;
+    const std::span<const SystemConfig> all(configs);
+    for (std::size_t lo = 0; lo < configs.size(); lo += 32) {
+        const std::size_t n = std::min<std::size_t>(32, configs.size() - lo);
+        for (Expected<HierarchyStats> &m :
+             ev.tryMissStatsBatch(Benchmark::Gcc1, all.subspan(lo, n)))
+            miss.push_back(std::move(m));
+    }
     RunOutput r;
-    r.points = ex.evaluateAll(Benchmark::Gcc1, configs, &report);
+    r.points = ex.evaluateAll(
+        Benchmark::Gcc1, configs, &report,
+        [&miss](std::size_t lo, std::size_t hi) {
+            return std::vector<Expected<HierarchyStats>>(
+                miss.begin() + static_cast<std::ptrdiff_t>(lo),
+                miss.begin() + static_cast<std::ptrdiff_t>(hi));
+        });
     r.failures = report.failures();
     return r;
 }
@@ -157,9 +180,9 @@ TEST(Telemetry, SupervisedRollupsEqualInProcessCounters)
 {
     const auto grid = makeGrid();
 
-    // One worker thread on both sides so the in-process engine
-    // splits the grid into the same 32-point batches the supervised
-    // shards use — identical simulation work, identical counts.
+    // One worker thread on both sides, and the in-process side
+    // simulates the same 32-point slices the supervised shards do
+    // (runInProcess) — identical simulation work, identical counts.
     setParallelWorkerCount(1);
     MetricsRegistry::global().resetAll();
     RunOutput inproc = runInProcess(grid);

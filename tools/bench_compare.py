@@ -83,6 +83,10 @@ EXACT_KEYS = (
     "cold_store_appends",
     "warm_store_hits",
     "warm_store_misses",
+    # L1 tag words read by the forest walks of the reference sweep: a
+    # deterministic work counter, so a change to the walk's cost shows
+    # as an exact diff instead of hiding in wall-clock noise.
+    "cache.l1.tag_probes",
 )
 
 
@@ -100,8 +104,10 @@ def is_ratio(key):
                                   key.endswith(RATIO_SUFFIXES))
 
 
-def compare(base, fresh, tolerance, path, failures, counts):
-    """Walk baseline-led; append failure strings, tally field classes."""
+def compare(base, fresh, tolerance, path, failures, counts, key=""):
+    """Walk baseline-led; append failure strings, tally field classes.
+    KEY is the field's own name, which may contain dots (metric names
+    such as "cache.l1.tag_probes" do)."""
     if isinstance(base, dict):
         if not isinstance(fresh, dict):
             failures.append(f"{path}: object in baseline, "
@@ -118,7 +124,8 @@ def compare(base, fresh, tolerance, path, failures, counts):
                 else:
                     failures.append(f"{sub}: missing from fresh run")
                 continue
-            compare(bval, fresh[key], tolerance, sub, failures, counts)
+            compare(bval, fresh[key], tolerance, sub, failures, counts,
+                    key)
         for key in sorted(set(fresh) - set(base)):
             sub = f"{path}.{key}" if path else key
             if is_ignored(key) or isinstance(fresh[key], str):
@@ -128,7 +135,6 @@ def compare(base, fresh, tolerance, path, failures, counts):
                                 "(new field? update the baseline)")
         return
 
-    key = path.rsplit(".", 1)[-1]
     if isinstance(base, bool) or isinstance(base, str):
         counts["exact"] += 1
         if base != fresh:

@@ -6,8 +6,9 @@
 #
 # Usage:
 #   tools/check.sh                  # full: every tier below, in order
-#   tools/check.sh --tier=fast      # configure + build + ctest, then
-#                                   # the supervised-sweep recovery
+#   tools/check.sh --tier=fast      # configure + build (any warning
+#                                   # in src/ is an error) + ctest,
+#                                   # then the supervised-sweep recovery
 #                                   # drills (crash/hang/kill/resume
 #                                   # differentials) and the SIMD
 #                                   # dispatch drill (scalar==native)
@@ -117,7 +118,8 @@ configure() {
 }
 
 build_main() {
-    configure build
+    # Any compiler warning in src/ fails the build (TLC_WERROR).
+    configure build -DTLC_WERROR=ON
     cmake --build build
 }
 
