@@ -6,15 +6,16 @@
  * configuration via tryMissStats) and once batched (one trace walk
  * for all lanes via tryMissStatsBatch), then repeats the comparison
  * for the strict-inclusive variant of the 56 two-level points (the
- * interleaved-lane vector kernel, see docs/parallelism.md). Both
- * modes run pinned to a single worker thread so the comparison
- * isolates the engine itself from thread-level parallelism, and each
- * timing is the best of --reps runs on a fresh evaluator (the modes
- * are memoized, so a rep must never share an evaluator with the
- * last). Emits JSON — the source of the checked-in BENCH_batch.json
- * — and fatals if point-major and batched disagree on a single
- * counter, so the speedup claim can never drift from the equivalence
- * claim.
+ * interleaved-lane kernel, see docs/parallelism.md). Both modes run
+ * pinned to a single worker thread so the comparison isolates the
+ * engine itself from thread-level parallelism, and each timing is the
+ * best of --reps runs on a fresh evaluator (the modes are memoized,
+ * so a rep must never share an evaluator with the last). The two
+ * modes alternate rep by rep, so a slow spell on the host lands on
+ * both sides of the ratio instead of skewing one. Emits JSON — the
+ * source of the checked-in BENCH_batch.json — and fatals if
+ * point-major and batched disagree on a single counter, so the
+ * speedup claim can never drift from the equivalence claim.
  *
  * "speedup_vs_prior_batched" normalizes this run's speedup by the
  * sub-major scalar engine's committed speedup (3.81 on the reference
@@ -30,7 +31,6 @@
 #include <vector>
 
 #include "bench_common.hh"
-#include "util/simd.hh"
 #include "util/units.hh"
 
 using namespace tlc;
@@ -68,36 +68,59 @@ seconds(std::chrono::steady_clock::time_point t0,
 }
 
 /**
- * Best-of-@p reps timing of one mode over @p configs, each rep on a
- * fresh evaluator (trace pre-generated outside the timed region).
- * The stats from the last rep land in @p out — reps are
- * deterministic replicas, so any rep's stats are THE stats.
+ * One timed run of one mode over @p configs on a fresh evaluator
+ * (trace generated outside the timed region); its stats land in
+ * @p out. Runs are deterministic replicas, so any run's stats are
+ * THE stats.
  */
 double
 timeMode(const std::vector<SystemConfig> &configs, std::uint64_t refs,
-         int reps, bool batched, std::vector<HierarchyStats> *out)
+         bool batched, std::vector<HierarchyStats> *out)
 {
     Benchmark b = Benchmark::Gcc1;
-    double best = 0;
+    MissRateEvaluator ev(refs);
+    (void)ev.tryTrace(b);
+    std::vector<HierarchyStats> stats;
+    stats.reserve(configs.size());
+    auto t0 = std::chrono::steady_clock::now();
+    if (batched) {
+        auto results = ev.tryMissStatsBatch(b, configs);
+        for (auto &r : results)
+            stats.push_back(r.value());
+    } else {
+        for (const SystemConfig &c : configs)
+            stats.push_back(ev.tryMissStats(b, c).value());
+    }
+    auto t1 = std::chrono::steady_clock::now();
+    *out = std::move(stats);
+    return seconds(t0, t1);
+}
+
+/** Best-of-@p reps seconds of each mode. */
+struct ModeTimes
+{
+    double point = 0;
+    double batched = 0;
+};
+
+/**
+ * Time both modes over @p configs, alternating them rep by rep and
+ * keeping each mode's best; the stats of the last reps land in
+ * @p point_out and @p batch_out.
+ */
+ModeTimes
+timeModes(const std::vector<SystemConfig> &configs, std::uint64_t refs,
+          int reps, std::vector<HierarchyStats> *point_out,
+          std::vector<HierarchyStats> *batch_out)
+{
+    ModeTimes best;
     for (int rep = 0; rep < reps; ++rep) {
-        MissRateEvaluator ev(refs);
-        (void)ev.tryTrace(b);
-        std::vector<HierarchyStats> stats;
-        stats.reserve(configs.size());
-        auto t0 = std::chrono::steady_clock::now();
-        if (batched) {
-            auto results = ev.tryMissStatsBatch(b, configs);
-            for (auto &r : results)
-                stats.push_back(r.value());
-        } else {
-            for (const SystemConfig &c : configs)
-                stats.push_back(ev.tryMissStats(b, c).value());
-        }
-        auto t1 = std::chrono::steady_clock::now();
-        double s = seconds(t0, t1);
-        if (rep == 0 || s < best)
-            best = s;
-        *out = std::move(stats);
+        double p = timeMode(configs, refs, false, point_out);
+        double b = timeMode(configs, refs, true, batch_out);
+        if (rep == 0 || p < best.point)
+            best.point = p;
+        if (rep == 0 || b < best.batched)
+            best.batched = b;
     }
     return best;
 }
@@ -147,20 +170,17 @@ main(int argc, char **argv)
     // One worker isolates the engine from thread-level parallelism.
     setParallelWorkerCount(1);
     std::vector<HierarchyStats> point_stats, batch_stats;
-    double point_s = timeMode(grid, refs, reps, false, &point_stats);
-    double batch_s = timeMode(grid, refs, reps, true, &batch_stats);
+    ModeTimes t = timeModes(grid, refs, reps, &point_stats, &batch_stats);
     std::vector<HierarchyStats> strict_point_stats, strict_batch_stats;
-    double strict_point_s =
-        timeMode(strict_grid, refs, reps, false, &strict_point_stats);
-    double strict_batch_s =
-        timeMode(strict_grid, refs, reps, true, &strict_batch_stats);
+    ModeTimes strict = timeModes(strict_grid, refs, reps,
+                                 &strict_point_stats, &strict_batch_stats);
     setParallelWorkerCount(0);
 
     checkSame(grid, point_stats, batch_stats, "inclusive grid");
     checkSame(strict_grid, strict_point_stats, strict_batch_stats,
               "strict grid");
 
-    double speedup = point_s / batch_s;
+    double speedup = t.point / t.batched;
     std::printf("{\n"
                 "  \"benchmark\": \"single-pass batched simulation\",\n"
                 "  \"workload\": \"gcc1\",\n"
@@ -168,7 +188,6 @@ main(int argc, char **argv)
                 "  \"trace_refs\": %llu,\n"
                 "  \"reps\": %d,\n"
                 "  \"hardware_concurrency\": %u,\n"
-                "  \"simd_backend\": \"%s\",\n"
                 "  \"point_major_seconds\": %.3f,\n"
                 "  \"batched_seconds\": %.3f,\n"
                 "  \"speedup\": %.2f,\n"
@@ -179,10 +198,9 @@ main(int argc, char **argv)
                 "  \"strict_speedup\": %.2f\n"
                 "}\n",
                 grid.size(), static_cast<unsigned long long>(refs),
-                reps, std::thread::hardware_concurrency(),
-                simdBackendName(activeSimdBackend()), point_s, batch_s,
-                speedup, speedup / kPriorBatchedSpeedup,
-                strict_grid.size(), strict_point_s, strict_batch_s,
-                strict_point_s / strict_batch_s);
+                reps, std::thread::hardware_concurrency(), t.point,
+                t.batched, speedup, speedup / kPriorBatchedSpeedup,
+                strict_grid.size(), strict.point, strict.batched,
+                strict.point / strict.batched);
     return 0;
 }

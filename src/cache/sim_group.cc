@@ -12,7 +12,6 @@
 #include "cache/single_level.hh"
 #include "util/logging.hh"
 #include "util/parallel.hh"
-#include "util/simd.hh"
 
 namespace tlc {
 
@@ -277,8 +276,6 @@ SimGroup::simulate(const TraceRecord *recs, std::size_t n,
         return;
     accessed_ = true;
     buildForests();
-    const lanes::LaneKernels &k =
-        lanes::laneKernelsFor(activeSimdBackend());
 
     // Epoch e covers records [cuts[e], cuts[e + 1]); one cut falls on
     // the warmup boundary, so no epoch straddles the stats reset.
@@ -319,11 +316,12 @@ SimGroup::simulate(const TraceRecord *recs, std::size_t n,
                               static_cast<unsigned>(e & 1));
             break;
           case Task::Kind::Replay:
-            k.replay(sharedGroups_[task.index], task.exclusive, task.lo,
-                     task.hi, static_cast<unsigned>(e - 1) & 1);
+            lanes::replay(sharedGroups_[task.index], task.exclusive,
+                          task.lo, task.hi,
+                          static_cast<unsigned>(e - 1) & 1);
             break;
           case Task::Kind::Strict:
-            k.runStrict(strictBlocks_[task.index], prev, prev_n);
+            lanes::runStrict(strictBlocks_[task.index], prev, prev_n);
             break;
           case Task::Kind::Generic: {
             Hierarchy &h = *genericLanes_[task.index];

@@ -16,10 +16,8 @@
  * SimGroup itself is the grouping and scheduling layer: it decides
  * which lanes can share simulated state, which structure-of-arrays
  * flavour each one runs on, and how a trace pass spreads over the
- * worker team. The lane layouts and their vectorized kernels live in
- * cache/simd_lanes.hh (dispatched at runtime over the SIMD backends
- * compiled into the binary — scalar always, AVX2 on x86-64 — forced
- * with TLC_SIMD or setSimdBackend()):
+ * worker team. The lane layouts and their kernels live in
+ * cache/simd_lanes.hh:
  *
  *  - SharedL1Group — all lanes over one direct-mapped L1 geometry
  *    whose L2 side never reaches back into the L1: plain-inclusive
@@ -33,8 +31,8 @@
  *    serves an L1-capacity sweep too: a design-space sweep walks its
  *    trace once per line size, not once per L1 size.
  *  - StrictLaneBlock — strict-inclusive lanes, which need private
- *    L1s (back-invalidation), interleaved so one vector probe per
- *    record answers every lane's L1 lookup at once.
+ *    L1s (back-invalidation), interleaved so one probe per record
+ *    answers every lane's L1 lookup at once.
  *  - Generic lanes wrapping any Hierarchy (victim cache, stream
  *    buffer, associative L1s) accessed record-by-record through the
  *    virtual interface.
@@ -53,10 +51,9 @@
  * Equivalence contract: every lane produces HierarchyStats
  * byte-identical to running the corresponding Hierarchy alone over
  * the same records — including replacement RNG draw sequences,
- * LRU/FIFO ordering and write-back accounting, on every SIMD
- * backend and at every team width (tests/test_batch_engine.cc
- * enforces this differentially across hierarchy shapes, random
- * forests and backends).
+ * LRU/FIFO ordering and write-back accounting, at every team width
+ * (tests/test_batch_engine.cc enforces this differentially across
+ * hierarchy shapes and random forests).
  *
  * Thread safety: a SimGroup is built, run and read by one thread;
  * simulate() fans its own tasks out and joins them before returning.
@@ -128,8 +125,7 @@ class SimGroup
      * @p warmup_refs (clamped to @p n) warm the lanes, then the
      * statistics are zeroed and cover the rest — Hierarchy::simulate's
      * contract, for all lanes in one pipelined pass (see the file
-     * comment). The flat flavours run through the kernel set of the
-     * active SIMD backend (util/simd.hh), resolved per call.
+     * comment).
      */
     void simulate(const TraceRecord *recs, std::size_t n,
                   std::size_t warmup_refs);

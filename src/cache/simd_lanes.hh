@@ -1,11 +1,11 @@
 /**
  * @file
  * Data-oriented lane state for the single-pass batch engine, plus the
- * per-backend kernel dispatch that runs it.
+ * kernels that run it.
  *
  * SimGroup (cache/sim_group.hh) owns the lane *grouping* decisions;
  * this header owns the lane *layout* and the hot loops. The state is
- * arranged structure-of-arrays so the kernels can vectorize:
+ * arranged structure-of-arrays so one probe covers many lanes:
  *
  *  - SharedL1Group: every lane sharing one direct-mapped L1 geometry
  *    — plain-inclusive and exclusive two-level lanes AND L1-only
@@ -23,8 +23,7 @@
  *    and records each level's misses (line, victim line, victim
  *    valid/dirty flags) in that level's queue for one epoch of
  *    records. The queues are replayed per member L2, sub-major: each
- *    L2's tag state stays hot across a whole epoch of misses, and the
- *    replay loop is where the vectorized L2 tag compare runs.
+ *    L2's tag state stays hot across a whole epoch of misses.
  *    Inclusive and exclusive members sit in separate lists, each
  *    replayed by its own instantiation of the loop. Replaying in
  *    record order per sub keeps every member's operation (and RNG
@@ -36,26 +35,20 @@
  *    on L2 eviction, so each needs a *private* L1 — but lanes with the
  *    same L1 geometry still probe the same (set, I/D) slot for every
  *    record. The block interleaves up to kMaxBlockLanes lanes' L1 tag
- *    words per slot (entries[slot * width + lane]), and one vector
- *    probe answers "which lanes missed?" as a bitmask; only the
- *    missing lanes fall into the scalar per-lane L2 path.
+ *    words per slot (entries[slot * width + lane]), and one branchless
+ *    probe over the row answers "which lanes missed?" as a bitmask;
+ *    only the missing lanes fall into the per-lane L2 path.
  *
- *  - FlatCache: the scalar-replica of Cache used for member L2s, as
- *    before, now with precomputed LRU/FIFO FSM transition tables
- *    (permutation-coded recency state, one table lookup per touch or
- *    fill instead of a stamp array scan) for 2..kLruFsmMaxWays ways.
+ *  - FlatCache: the flat replica of Cache used for member L2s, with
+ *    precomputed LRU/FIFO FSM transition tables (permutation-coded
+ *    recency state, one table lookup per touch or fill instead of a
+ *    stamp array scan) for 2..kLruFsmMaxWays ways.
  *
- * The replay and strict kernels are compiled once per SIMD backend in
- * dedicated translation units (simd_lanes_{scalar,avx2}.cc, each
- * including simd_lanes_body.inc inside its own namespace) so a binary
- * carries all of them and laneKernelsFor() dispatches at runtime on
- * util/simd.hh's activeSimdBackend(). The forest walk is scalar code
- * (one tag word per level) and is compiled once, in simd_lanes.cc.
- * The equivalence contract is unchanged from sim_group.hh and
- * backend-independent: every lane's HierarchyStats must be
- * byte-identical to a solo Hierarchy run, including RNG victim draw
- * sequences (tests/test_batch_engine.cc enforces this differentially
- * for every backend the host supports).
+ * The kernels (walkForest, replay, runStrict) are plain scalar C++ in
+ * simd_lanes.cc. The equivalence contract is sim_group.hh's: every
+ * lane's HierarchyStats must be byte-identical to a solo Hierarchy
+ * run, including RNG victim draw sequences (tests/test_batch_engine.cc
+ * enforces this differentially).
  */
 
 #ifndef TLC_CACHE_SIMD_LANES_HH
@@ -76,7 +69,6 @@
 #include "cache/params.hh"
 #include "trace/record.hh"
 #include "util/random.hh"
-#include "util/simd.hh"
 
 namespace tlc {
 namespace lanes {
@@ -234,13 +226,8 @@ const LruFsm *lruFsmForWays(std::uint32_t ways);
  * draw. Entries pack (line << 2) | flags, [set][way] row-major.
  * Replacement state is, in preference order: nothing under Random
  * (unobservable), the FSM state byte per set when the associativity
- * has a table, else the stamp array.
- *
- * The methods here are the scalar reference implementation; the
- * per-backend kernel TUs re-implement the probe loops locally over
- * the same public state so each backend's vector width applies
- * (header-inline vector code would ODR-merge across TUs compiled for
- * different ISAs — see util/simd.hh).
+ * has a table, else the stamp array. The kernels in simd_lanes.cc
+ * operate on this state directly.
  */
 struct FlatCache
 {
@@ -256,20 +243,6 @@ struct FlatCache
     Pcg32 rng;
 
     FlatCache(const CacheParams &p, std::uint64_t seed);
-
-    struct Victim
-    {
-        bool valid = false;
-        std::uint32_t lineAddr = 0;
-        bool dirty = false;
-    };
-
-    int findWay(std::uint32_t set, std::uint32_t line) const;
-    bool lookupAndTouch(std::uint32_t addr);
-    /** contains() + setDirty() fused: dirty the line if resident. */
-    bool touchDirtyIfResident(std::uint32_t addr);
-    std::uint32_t chooseVictimWay(std::uint32_t set);
-    Victim fill(std::uint32_t addr);
 };
 
 /**
@@ -448,8 +421,8 @@ constexpr std::size_t kReplayInterleave = 8;
  * Up to kMaxBlockLanes strict-inclusive lanes sharing one
  * direct-mapped L1 geometry and line size, their L1 tag words
  * interleaved per (set, I/D) slot: l1Entries[slot * width() + lane].
- * One vector probe over a slot's row yields the miss bitmask for all
- * lanes at once; L2 state and stats stay per lane.
+ * One probe over a slot's row yields the miss bitmask for all lanes
+ * at once; L2 state and stats stay per lane.
  */
 struct StrictLaneBlock
 {
@@ -481,26 +454,16 @@ struct StrictLaneBlock
 };
 
 /**
- * The kernel entry points one backend TU exports. replay applies one
- * walked epoch (buffer @p buf) of a level to its subs [lo, hi) of one
- * policy, at most kReplayInterleave of them per pass; runStrict
- * applies @p n records to one interleaved block. Both accumulate
+ * Replay walked epoch @p buf of @p g over its subs [lo, hi) of one
+ * policy, at most kReplayInterleave of them per pass, accumulating
  * stats exactly as the solo hierarchies would.
  */
-struct LaneKernels
-{
-    SimdBackend backend;
-    void (*replay)(SharedL1Group &, bool exclusive, std::size_t lo,
-                   std::size_t hi, unsigned buf);
-    void (*runStrict)(StrictLaneBlock &, const TraceRecord *, std::size_t);
-};
+void replay(SharedL1Group &g, bool exclusive, std::size_t lo,
+            std::size_t hi, unsigned buf);
 
-/**
- * The kernel table for @p backend. Asks for a backend that is not
- * compiled into this binary are a caller bug (activeSimdBackend()
- * never returns one) and fatal.
- */
-const LaneKernels &laneKernelsFor(SimdBackend backend);
+/** Apply @p n records to one interleaved strict block, accumulating
+ *  stats exactly as the solo hierarchies would. */
+void runStrict(StrictLaneBlock &b, const TraceRecord *recs, std::size_t n);
 
 } // namespace lanes
 } // namespace tlc

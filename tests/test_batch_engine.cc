@@ -7,10 +7,9 @@
  * byte-identical to running the corresponding Hierarchy alone over
  * the same records — including replacement RNG draws, LRU/FIFO stamp
  * ordering and write-back accounting — across warmup boundaries. The
- * SimdBackendDifferential cases re-prove the lane equivalences under
- * EVERY SIMD backend this host can run (forced via setSimdBackend),
- * so scalar and vector kernels are pinned to the same counters the
- * solo hierarchies produce. On top sit the evaluator-level
+ * SimdBackendDifferential cases pin the lane kernels' probe rows and
+ * miss masks (rows from 1 lane up to a full 64-lane row) to the same
+ * counters the solo hierarchies produce. On top sit the evaluator-level
  * equivalences: tryMissStatsBatch vs tryMissStats, the SweepRequest
  * entry point vs per-benchmark evaluateAll, and the FailureReport
  * snapshot contract.
@@ -24,6 +23,7 @@
 #include <utility>
 #include <vector>
 
+#include "cache/simd_lanes.hh"
 #include "cache/single_level.hh"
 #include "cache/stream_buffer.hh"
 #include "cache/two_level.hh"
@@ -32,7 +32,6 @@
 #include "core/explorer.hh"
 #include "util/parallel.hh"
 #include "util/random.hh"
-#include "util/simd.hh"
 #include "util/units.hh"
 
 using namespace tlc;
@@ -74,24 +73,6 @@ solo(std::uint64_t warmup, Args &&...args)
     h.simulate(sharedTrace(), warmup);
     return h.stats();
 }
-
-/** Every SIMD backend this host can actually run (scalar always). */
-std::vector<SimdBackend>
-runnableBackends()
-{
-    std::vector<SimdBackend> v;
-    for (SimdBackend b : {SimdBackend::Scalar, SimdBackend::Avx2})
-        if (simdBackendSupported(b))
-            v.push_back(b);
-    return v;
-}
-
-/** RAII: force a backend for one scope, restore detection after. */
-struct BackendGuard
-{
-    explicit BackendGuard(SimdBackend b) { setSimdBackend(b); }
-    ~BackendGuard() { clearSimdBackendOverride(); }
-};
 
 } // namespace
 
@@ -252,10 +233,9 @@ TEST(SimGroupDifferential, ResultsIndependentOfLaneOrder)
 
 TEST(SimdBackendDifferential, EveryBackendMatchesSoloAcrossFlavours)
 {
-    // The canonical lane-flavour zoo, solo-simulated once; then the
-    // same group is rebuilt and run under every backend this host
-    // can execute. Any vector-kernel divergence from the scalar
-    // reference semantics shows up as a counter mismatch here.
+    // The canonical lane-flavour zoo, solo-simulated once, then run
+    // as one group. Any kernel divergence from the reference
+    // semantics shows up as a counter mismatch here.
     CacheParams l1;
     l1.sizeBytes = 2_KiB;
     struct Shape
@@ -285,32 +265,27 @@ TEST(SimdBackendDifferential, EveryBackendMatchesSoloAcrossFlavours)
     }
     HierarchyStats single_ref = solo<SingleLevelHierarchy>(kWarmup, l1);
 
-    for (SimdBackend backend : runnableBackends()) {
-        SCOPED_TRACE(simdBackendName(backend));
-        BackendGuard guard(backend);
-        SimGroup group;
-        std::size_t single = group.addSingleLevel(l1);
-        std::vector<std::size_t> lanes;
-        for (std::size_t i = 0; i < shapes.size(); ++i)
-            lanes.push_back(
-                group.addTwoLevel(l1, l2s[i], shapes[i].policy));
-        BatchEngine::run(sharedTrace(), kWarmup, group);
-        expectSameStats(group.stats(single), single_ref);
-        for (std::size_t i = 0; i < shapes.size(); ++i) {
-            SCOPED_TRACE("lane " + std::to_string(i));
-            expectSameStats(group.stats(lanes[i]), refs[i]);
-        }
+    SimGroup group;
+    std::size_t single = group.addSingleLevel(l1);
+    std::vector<std::size_t> lanes;
+    for (std::size_t i = 0; i < shapes.size(); ++i)
+        lanes.push_back(group.addTwoLevel(l1, l2s[i], shapes[i].policy));
+    BatchEngine::run(sharedTrace(), kWarmup, group);
+    expectSameStats(group.stats(single), single_ref);
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+        SCOPED_TRACE("lane " + std::to_string(i));
+        expectSameStats(group.stats(lanes[i]), refs[i]);
     }
 }
 
 TEST(SimdBackendDifferential, StrictLaneCountsSpanVectorWidths)
 {
     // Strict-inclusive blocks answer all lanes' L1 probes with one
-    // vector sweep over an interleaved row, so the lane count is the
-    // vector trip count: 1 and 7 exercise sub-width tails, 8 and 9
-    // the exact-width and width-plus-one boundaries, 32 several full
-    // vectors per row. Each lane gets a distinct L2 so a lane-index
-    // mixup cannot cancel out.
+    // probe over an interleaved row, so the lane count is the row
+    // width: 1 and 7 exercise short rows, 8 and 9 a host-cache-line
+    // boundary, 32 a partial mask, and kMaxBlockLanes a full row,
+    // which sets every bit of the 64-bit miss mask. Each lane gets a
+    // distinct L2 so a lane-index mixup cannot cancel out.
     CacheParams l1;
     l1.sizeBytes = 1_KiB;
     auto l2For = [](std::size_t i) {
@@ -325,25 +300,22 @@ TEST(SimdBackendDifferential, StrictLaneCountsSpanVectorWidths)
 
     for (std::size_t count : {std::size_t{1}, std::size_t{7},
                               std::size_t{8}, std::size_t{9},
-                              std::size_t{32}}) {
+                              std::size_t{32},
+                              std::size_t{
+                                  lanes::StrictLaneBlock::kMaxBlockLanes}}) {
         SCOPED_TRACE("lanes " + std::to_string(count));
         std::vector<HierarchyStats> refs;
         for (std::size_t i = 0; i < count; ++i)
             refs.push_back(solo<TwoLevelHierarchy>(
                 kWarmup, l1, l2For(i), TwoLevelPolicy::StrictInclusive));
-        for (SimdBackend backend : runnableBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            BackendGuard guard(backend);
-            SimGroup group;
-            for (std::size_t i = 0; i < count; ++i)
-                group.addTwoLevel(l1, l2For(i),
-                                  TwoLevelPolicy::StrictInclusive);
-            EXPECT_EQ(group.flatLaneCount(), count);
-            BatchEngine::run(sharedTrace(), kWarmup, group);
-            for (std::size_t i = 0; i < count; ++i) {
-                SCOPED_TRACE("lane " + std::to_string(i));
-                expectSameStats(group.stats(i), refs[i]);
-            }
+        SimGroup group;
+        for (std::size_t i = 0; i < count; ++i)
+            group.addTwoLevel(l1, l2For(i), TwoLevelPolicy::StrictInclusive);
+        EXPECT_EQ(group.flatLaneCount(), count);
+        BatchEngine::run(sharedTrace(), kWarmup, group);
+        for (std::size_t i = 0; i < count; ++i) {
+            SCOPED_TRACE("lane " + std::to_string(i));
+            expectSameStats(group.stats(i), refs[i]);
         }
     }
 }
@@ -364,59 +336,14 @@ TEST(SimdBackendDifferential, WarmupEdgesMatchUnderEveryBackend)
             warmup, l1, l2, TwoLevelPolicy::Inclusive);
         HierarchyStats strict_ref = solo<TwoLevelHierarchy>(
             warmup, l1, l2, TwoLevelPolicy::StrictInclusive);
-        for (SimdBackend backend : runnableBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            BackendGuard guard(backend);
-            SimGroup group;
-            group.addSingleLevel(l1);
-            group.addTwoLevel(l1, l2, TwoLevelPolicy::Inclusive);
-            group.addTwoLevel(l1, l2, TwoLevelPolicy::StrictInclusive);
-            BatchEngine::run(sharedTrace(), warmup, group);
-            expectSameStats(group.stats(0), single_ref);
-            expectSameStats(group.stats(1), incl_ref);
-            expectSameStats(group.stats(2), strict_ref);
-        }
-    }
-}
-
-TEST(SimdBackendDifferential, VectorBackendsMatchScalarByteForByte)
-{
-    // Scalar is the reference kernel; every vector backend must
-    // reproduce its counters exactly on an identical group. (Solo
-    // equivalence above implies this, but the direct comparison
-    // localizes a failure to the pair of kernels that disagree.)
-    std::vector<SimdBackend> backends = runnableBackends();
-    ASSERT_EQ(backends.front(), SimdBackend::Scalar);
-
-    CacheParams l1;
-    l1.sizeBytes = 4_KiB;
-    auto runAll = [&](SimdBackend backend) {
-        BackendGuard guard(backend);
         SimGroup group;
         group.addSingleLevel(l1);
-        for (std::uint64_t l2_size : {8_KiB, 32_KiB, 128_KiB}) {
-            CacheParams l2;
-            l2.sizeBytes = l2_size;
-            l2.assoc = 4;
-            group.addTwoLevel(l1, l2, TwoLevelPolicy::Inclusive);
-            group.addTwoLevel(l1, l2, TwoLevelPolicy::StrictInclusive);
-        }
-        BatchEngine::run(sharedTrace(), kWarmup, group);
-        std::vector<HierarchyStats> all;
-        for (std::size_t i = 0; i < group.laneCount(); ++i)
-            all.push_back(group.stats(i));
-        return all;
-    };
-
-    std::vector<HierarchyStats> scalar = runAll(SimdBackend::Scalar);
-    for (std::size_t b = 1; b < backends.size(); ++b) {
-        SCOPED_TRACE(simdBackendName(backends[b]));
-        std::vector<HierarchyStats> vec = runAll(backends[b]);
-        ASSERT_EQ(vec.size(), scalar.size());
-        for (std::size_t i = 0; i < scalar.size(); ++i) {
-            SCOPED_TRACE("lane " + std::to_string(i));
-            expectSameStats(vec[i], scalar[i]);
-        }
+        group.addTwoLevel(l1, l2, TwoLevelPolicy::Inclusive);
+        group.addTwoLevel(l1, l2, TwoLevelPolicy::StrictInclusive);
+        BatchEngine::run(sharedTrace(), warmup, group);
+        expectSameStats(group.stats(0), single_ref);
+        expectSameStats(group.stats(1), incl_ref);
+        expectSameStats(group.stats(2), strict_ref);
     }
 }
 
@@ -485,21 +412,36 @@ TEST(SimdBackendDifferential, ExclusiveLanesMatchSoloAcrossL2Shapes)
                 EXPECT_EQ(refs.back().swaps, refs.back().l2Hits);
             }
         }
-        for (SimdBackend backend : runnableBackends()) {
-            SCOPED_TRACE(simdBackendName(backend));
-            BackendGuard guard(backend);
-            SimGroup group;
-            for (const Shape &s : shapes) {
-                std::size_t lane =
-                    group.addTwoLevel(l1For(s), l2For(s), s.policy);
-                EXPECT_TRUE(group.laneIsFlat(lane));
-            }
-            BatchEngine::run(sharedTrace(), warmup, group);
-            for (std::size_t i = 0; i < shapes.size(); ++i) {
-                SCOPED_TRACE("lane " + std::to_string(i));
-                expectSameStats(group.stats(i), refs[i]);
-            }
+        SimGroup group;
+        for (const Shape &s : shapes) {
+            std::size_t lane =
+                group.addTwoLevel(l1For(s), l2For(s), s.policy);
+            EXPECT_TRUE(group.laneIsFlat(lane));
         }
+        BatchEngine::run(sharedTrace(), warmup, group);
+        for (std::size_t i = 0; i < shapes.size(); ++i) {
+            SCOPED_TRACE("lane " + std::to_string(i));
+            expectSameStats(group.stats(i), refs[i]);
+        }
+    }
+}
+
+TEST(SimdDispatch, TagAllocatorAlignsAndZeroes)
+{
+    // Both allocator paths (small aligned-new, large mmap) must hand
+    // back 64-byte-aligned, already-zero memory — the kernels rely on
+    // all-zero meaning "every tag word invalid", and resize() on a
+    // TagVector intentionally skips value-initialization.
+    for (std::size_t n : {std::size_t{512},
+                          (lanes::TagAllocator<std::uint64_t>::kMmapBytes /
+                           sizeof(std::uint64_t)) * 2}) {
+        lanes::TagVector v;
+        v.resize(n);
+        EXPECT_EQ(reinterpret_cast<std::uintptr_t>(v.data()) % 64, 0u);
+        std::uint64_t acc = 0;
+        for (std::uint64_t w : v)
+            acc |= w;
+        EXPECT_EQ(acc, 0u) << "n=" << n;
     }
 }
 
@@ -533,8 +475,8 @@ soloLane(const LaneSpec &s, const TraceBuffer &t, std::uint64_t warmup)
 }
 
 /**
- * Every lane of @p specs in one SimGroup, at team widths 1 and 4 and
- * on every runnable backend, against its solo Hierarchy.
+ * Every lane of @p specs in one SimGroup, at team widths 1 and 4,
+ * against its solo Hierarchy.
  */
 void
 expectGroupMatchesSolo(const std::vector<LaneSpec> &specs,
@@ -546,29 +488,24 @@ expectGroupMatchesSolo(const std::vector<LaneSpec> &specs,
     const unsigned prev = parallelWorkerOverride();
     for (unsigned width : {1u, 4u}) {
         setParallelWorkerCount(width);
-        for (SimdBackend backend : runnableBackends()) {
-            SCOPED_TRACE(std::string(simdBackendName(backend)) +
-                         ", width " + std::to_string(width));
-            BackendGuard guard(backend);
-            SimGroup group;
-            for (const LaneSpec &s : specs) {
-                if (s.twoLevel)
-                    group.addTwoLevel(s.l1, s.l2, s.policy);
-                else
-                    group.addSingleLevel(s.l1);
-            }
-            EXPECT_EQ(group.flatLaneCount(), specs.size());
-            BatchEngine::run(t, warmup, group);
-            for (std::size_t i = 0; i < specs.size(); ++i) {
-                SCOPED_TRACE("lane " + std::to_string(i) + ": L1 " +
-                             specs[i].l1.toString() +
-                             (specs[i].twoLevel
-                                  ? ", L2 " + specs[i].l2.toString() +
-                                        " " +
-                                        twoLevelPolicyName(specs[i].policy)
-                                  : std::string()));
-                expectSameStats(group.stats(i), refs[i]);
-            }
+        SCOPED_TRACE("width " + std::to_string(width));
+        SimGroup group;
+        for (const LaneSpec &s : specs) {
+            if (s.twoLevel)
+                group.addTwoLevel(s.l1, s.l2, s.policy);
+            else
+                group.addSingleLevel(s.l1);
+        }
+        EXPECT_EQ(group.flatLaneCount(), specs.size());
+        BatchEngine::run(t, warmup, group);
+        for (std::size_t i = 0; i < specs.size(); ++i) {
+            SCOPED_TRACE("lane " + std::to_string(i) + ": L1 " +
+                         specs[i].l1.toString() +
+                         (specs[i].twoLevel
+                              ? ", L2 " + specs[i].l2.toString() + " " +
+                                    twoLevelPolicyName(specs[i].policy)
+                              : std::string()));
+            expectSameStats(group.stats(i), refs[i]);
         }
     }
     setParallelWorkerCount(prev);

@@ -38,11 +38,10 @@ passes, 1 with one line per failure otherwise.
 import json
 import sys
 
-# "simd_backend" is whichever vector ISA the measuring host runs
-# (scalar on a CI runner without AVX2), and "reps" is the best-of-N
-# sampling depth — both describe the machine/methodology of one run,
-# not the result, so like wall-clock they never gate.
-IGNORED_KEYS = ("hardware_concurrency", "note", "simd_backend", "reps")
+# "reps" is the best-of-N sampling depth: it describes the
+# methodology of one run, not the result, so like wall-clock it
+# never gates.
+IGNORED_KEYS = ("hardware_concurrency", "note", "reps")
 IGNORED_SUFFIXES = ("_seconds", "_ms", "_us")
 RATIO_SUFFIXES = ("_rate",)
 RATIO_KEYS = ("speedup", "warm_speedup", "strict_speedup",

@@ -10,8 +10,7 @@
 #                                   # in src/ is an error) + ctest,
 #                                   # then the supervised-sweep recovery
 #                                   # drills (crash/hang/kill/resume
-#                                   # differentials) and the SIMD
-#                                   # dispatch drill (scalar==native)
+#                                   # differentials)
 #   tools/check.sh --tier=asan      # robustness suites under ASan+UBSan
 #   tools/check.sh --tier=tsan      # parallel suites under TSan
 #   tools/check.sh --tier=smoke     # bench/example smoke runs, the
@@ -21,12 +20,6 @@
 #                                   # figure lane routing pin, and the
 #                                   # benchmark regression gate
 #                                   # (bench_compare.py)
-#   tools/check.sh --simd=BACKEND   # force the lane-kernel backend
-#                                   # (scalar|avx2|native) for
-#                                   # every test and bench in the tier
-#                                   # by exporting TLC_SIMD; a pre-set
-#                                   # TLC_SIMD in the environment is
-#                                   # honoured the same way
 #   tools/check.sh --artifacts=DIR  # keep the smoke tier's regenerated
 #                                   # BENCH_*.json and the telemetry
 #                                   # --metrics-out dump in DIR for CI
@@ -38,14 +31,12 @@
 set -e
 cd "$(dirname "$0")/.."
 
-usage="usage: tools/check.sh [--tier=fast|asan|tsan|smoke|full] [--simd=scalar|avx2|native] [--artifacts=DIR]"
+usage="usage: tools/check.sh [--tier=fast|asan|tsan|smoke|full] [--artifacts=DIR]"
 tier=full
-simd=
 artifacts=
 for arg in "$@"; do
     case "$arg" in
       --tier=*) tier="${arg#--tier=}" ;;
-      --simd=*) simd="${arg#--simd=}" ;;
       --artifacts=*) artifacts="${arg#--artifacts=}" ;;
       *)
         echo "check.sh: unknown argument '$arg'" >&2
@@ -62,25 +53,6 @@ case "$tier" in
     exit 2
     ;;
 esac
-# Validate the backend here, before a tier burns minutes building
-# only for the first simulation to panic on a typo. The exported
-# TLC_SIMD reaches every ctest case, drill, and bench below (the
-# runtime resolves it in activeSimdBackend, util/simd.hh).
-case "$simd" in
-  ""|scalar|avx2|native) ;;
-  *)
-    echo "check.sh: unknown --simd backend '$simd'" >&2
-    echo "$usage" >&2
-    exit 2
-    ;;
-esac
-if [ -n "$simd" ]; then
-    TLC_SIMD="$simd"
-    export TLC_SIMD
-fi
-if [ -n "${TLC_SIMD:-}" ]; then
-    echo "== SIMD backend forced: TLC_SIMD=$TLC_SIMD =="
-fi
 if [ -n "$artifacts" ]; then
     mkdir -p "$artifacts"
     # Resolve now: the smoke tier cd's nowhere, but mktemp subshells
@@ -127,30 +99,7 @@ run_fast() {
     echo "== tier fast: configure + build + ctest =="
     build_main
     ctest --test-dir build --output-on-failure
-    run_dispatch
     run_recovery
-}
-
-run_dispatch() {
-    # The SIMD dispatch drill: one real explorer sweep forced onto
-    # the scalar kernels and one left to runtime cpuid dispatch must
-    # print byte-identical reports — scalar==vector is the batched
-    # engine's contract (docs/parallelism.md), and this proves it
-    # end to end through the Explorer/tryMissStatsBatch path rather
-    # than only in the unit differentials. On a host without vector
-    # units both runs resolve to scalar and the drill degenerates to
-    # a determinism check, which is still worth one cmp.
-    echo "== dispatch drill: TLC_SIMD=scalar vs native sweep =="
-    dd_dir=$(mktemp -d)
-    TLC_SIMD=scalar build/examples/design_explorer --refs=50000 \
-        --quiet > "$dd_dir/scalar.txt"
-    TLC_SIMD=native build/examples/design_explorer --refs=50000 \
-        --quiet > "$dd_dir/native.txt"
-    cmp "$dd_dir/scalar.txt" "$dd_dir/native.txt" || {
-        echo "TLC_SIMD=scalar sweep differs from native dispatch" >&2
-        exit 1
-    }
-    rm -rf "$dd_dir"
 }
 
 run_recovery() {
